@@ -301,44 +301,58 @@ func DeltaFsck(basePath string) (findings []FsckFinding, notes []string) {
 	return delta.Fsck(basePath)
 }
 
-// MemGraph is a fully-loaded in-memory graph (no storage pipeline).
+// MemGraph runs algorithms with the whole graph resident in memory. It is
+// the one SCR engine under a budget that holds every tile
+// (core.ResidentOptions): the first iteration streams the tiles into the
+// cache pool and later iterations run from it without I/O.
 type MemGraph struct {
-	m *core.MemGraph
+	g    *Graph
+	opts core.Options
 }
 
-// LoadInMemory reads every tile of g into memory for in-memory execution.
+// LoadInMemory prepares g for in-memory execution.
 func LoadInMemory(g *Graph) (*MemGraph, error) {
-	m, err := core.LoadInMemory(g)
+	return &MemGraph{g: g, opts: core.ResidentOptions(g)}, nil
+}
+
+// run executes a on a resident-budget engine with the given number of
+// workers (at least one).
+func (m *MemGraph) run(a algo.Algorithm, threads int) (*Stats, error) {
+	o := m.opts
+	o.Threads = max(threads, 1)
+	e, err := core.NewEngine(m.g, o)
 	if err != nil {
 		return nil, err
 	}
-	return &MemGraph{m: m}, nil
+	defer e.Close()
+	return e.Run(context.Background(), a)
 }
 
-// BFS runs breadth-first search over the in-memory tiles.
+// BFS runs breadth-first search with the graph resident.
 func (m *MemGraph) BFS(root uint32, threads int) ([]int32, *Stats, error) {
 	b := algo.NewBFS(root)
-	st, err := m.m.Run(b, threads, 0)
+	st, err := m.run(b, threads)
 	if err != nil {
 		return nil, nil, err
 	}
 	return b.Depths(), st, nil
 }
 
-// PageRank runs PageRank over the in-memory tiles.
+// PageRank runs the given number of PageRank iterations with the graph
+// resident.
 func (m *MemGraph) PageRank(iterations, threads int) ([]float64, *Stats, error) {
 	p := algo.NewPageRank(iterations)
-	st, err := m.m.Run(p, threads, iterations)
+	st, err := m.run(p, threads)
 	if err != nil {
 		return nil, nil, err
 	}
 	return p.Ranks(), st, nil
 }
 
-// WCC runs connected components over the in-memory tiles.
+// WCC computes weakly connected components with the graph resident.
 func (m *MemGraph) WCC(threads int) ([]uint32, *Stats, error) {
 	w := algo.NewWCC()
-	st, err := m.m.Run(w, threads, 0)
+	st, err := m.run(w, threads)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -303,6 +303,49 @@ func TestFacadeInMemory(t *testing.T) {
 			t.Fatalf("in-memory label[%d] = %d, want %d", v, labels[v], wantL[v])
 		}
 	}
+
+	// In-memory mode is the one engine under a resident budget: the first
+	// iteration streams every tile into the pool, later ones rewind over
+	// it without I/O.
+	_, prSt, err := mg.PageRank(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prSt.Iterations != 3 || prSt.TilesProcessed == 0 || prSt.Elapsed <= 0 {
+		t.Fatalf("in-memory pagerank stats = %+v", prSt)
+	}
+	if prSt.TilesFetched == 0 || prSt.TilesFromCache < 2*prSt.TilesFetched {
+		t.Fatalf("in-memory pagerank fetched %d tiles and rewound %d; want every tile pooled after iteration 1",
+			prSt.TilesFetched, prSt.TilesFromCache)
+	}
+
+	// Selective iteration still applies: BFS down a chain skips the tiles
+	// its frontier has not reached.
+	chain := &gstore.EdgeList{NumVertices: 512}
+	for v := uint32(0); v+1 < chain.NumVertices; v++ {
+		chain.Edges = append(chain.Edges, gstore.Edge{Src: v, Dst: v + 1})
+	}
+	cg, err := gstore.Convert(chain, t.TempDir(), "chain", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cg.Close()
+	cm, err := gstore.LoadInMemory(cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, cst, err := cm.BFS(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, d := range cd {
+		if d != int32(v) {
+			t.Fatalf("chain depth[%d] = %d, want %d", v, d, v)
+		}
+	}
+	if cst.TilesSkipped == 0 {
+		t.Fatal("in-memory run ignored selective iteration")
+	}
 }
 
 func TestFacadeHDDTier(t *testing.T) {

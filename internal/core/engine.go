@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,26 +96,32 @@ type runState struct {
 	stats   *Stats
 	iter    int
 
-	// finished is set by the sweep (convergence, cancellation, or a
-	// sweep-fatal error); err is the run's outcome. completed marks
-	// driver-side finalization (stats sealed, waiter released).
-	finished  bool
-	completed bool
-	err       error
-	done      chan struct{}
-	began     time.Time
+	// finished is set by iterate (convergence, cancellation, or a
+	// sweep-fatal error); err is the run's outcome.
+	finished bool
+	err      error
+	done     chan struct{}
+	began    time.Time
 
 	// Fractional attribution of shared I/O: a tile fetched for k
 	// interested runs charges each of them 1/k of its bytes and requests.
 	bytesFrac float64
 	reqFrac   float64
 
-	// startExt snapshots the backend's extended counters at admission so
-	// completeFinished can seal Stats.IO as this run's window delta.
-	// Co-scheduled runs overlap, so their IO windows overlap too (like
-	// Stats.Storage, unlike the fractional bytes/requests above).
-	startExt storage.ExtStats
-	hasExt   bool
+	// adm snapshots the engine-wide counters when the run joins a sweep;
+	// seal reports each as the delta since then.
+	adm admission
+}
+
+// admission is the engine-wide counter snapshot a run takes when it joins
+// a sweep. Co-scheduled runs overlap, so their windows overlap too: the
+// deltas seal derives from it (worker busy time, injected faults,
+// backend counters, unattributed bytes) include batch neighbours' work.
+type admission struct {
+	busy, chunks []int64
+	ext          storage.ExtStats
+	faults       storage.FaultStats
+	unattributed int64
 }
 
 // prepare validates and initializes a for this engine's graph and wraps
@@ -447,17 +454,6 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 	return nil
 }
 
-// workerSnapshot copies the cumulative per-worker counters.
-func (e *Engine) workerSnapshot() (busy []int64, chunks []int64) {
-	busy = make([]int64, len(e.workers))
-	chunks = make([]int64, len(e.workers))
-	for i := range e.workers {
-		busy[i] = e.workers[i].busyNS.Load()
-		chunks[i] = e.workers[i].chunks.Load()
-	}
-	return busy, chunks
-}
-
 // Run executes a on the graph until convergence and returns statistics.
 //
 // ctx cancels the run: it is checked between iterations and inside the
@@ -467,123 +463,169 @@ func (e *Engine) workerSnapshot() (busy []int64, chunks []int64) {
 // acquired, and leaves the engine reusable for the next Run.
 //
 // Errors caused by the algorithm's arguments (Init validation) are
-// wrapped in *BadRequestError; everything else is an engine or storage
-// failure.
+// wrapped in *BadRequestError; an *IntegrityError comes back with the
+// partial stats; everything else is an engine or storage failure.
 //
-// Run is the solo entry point and must not be called concurrently with
-// itself or with a Scheduler on the same engine; servers co-scheduling
-// queries go through Scheduler.Run instead.
+// Run is the solo entry point: it drives the same iterate/seal pair as
+// the Scheduler, in the caller's goroutine, with a batch of one. It must
+// not be called concurrently with itself or with a Scheduler on the same
+// engine; servers co-scheduling queries go through Scheduler.Run instead.
 func (e *Engine) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 	r, err := e.prepare(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	ctx = r.ctx
 	e.mm.Clear()
-
-	stats := r.stats
-	busyStart, chunksStart := e.workerSnapshot()
-	startStorage := e.array.Stats()
-	startExt, hasExt := storage.ExtStatsOf(e.array)
-	startUnattr := e.unattributedBytes.Load()
-	fd, hasFaults := e.array.(*storage.FaultDevice)
-	var startFaults storage.FaultStats
-	if hasFaults {
-		startFaults = fd.FaultStats()
-	}
-	begin := time.Now()
+	e.admit(r)
 	batch := []*runState{r}
+	for !r.finished {
+		e.iterate(batch)
+	}
+	e.seal(r)
+	return r.outcome()
+}
 
-	for iter := 0; iter < e.opts.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: run canceled before iteration %d: %w", iter, err)
-		}
-		r.iter = iter
-		a.BeforeIteration(iter)
-		before := *stats
-		beforeIO := e.array.Stats()
-		if err := e.sweepIteration(batch); err != nil {
-			if errors.Is(err, errBatchDone) {
-				// The only run was canceled mid-sweep; its outcome is on
-				// the runState.
-				if r.err == nil {
-					r.err = fmt.Errorf("core: run canceled: %w", context.Canceled)
-				}
-				return nil, r.err
-			}
-			var ie *IntegrityError
-			if errors.As(err, &ie) {
-				// Integrity failures return the partial stats so the
-				// verification and mismatch counters still reach the
-				// caller's metrics.
-				stats.IntegrityErrors++
-				stats.Elapsed = time.Since(begin)
-				stats.UnattributedBytes = e.unattributedBytes.Load() - startUnattr
-				if hasFaults {
-					stats.Faults = fd.FaultStats().Sub(startFaults)
-				}
-				if hasExt {
-					endExt, _ := storage.ExtStatsOf(e.array)
-					stats.IO = endExt.Sub(startExt)
-				}
-				return stats, err
-			}
-			return nil, err
-		}
-		stats.Iterations = iter + 1
-		done := a.AfterIteration(iter)
-		if e.opts.Trace != nil {
-			afterIO := e.array.Stats()
-			metrics.WriteEvent(e.opts.Trace, "iteration",
-				metrics.KV{Key: "algo", Value: a.Name()},
-				metrics.KV{Key: "iter", Value: iter},
-				metrics.KV{Key: "tiles", Value: stats.TilesProcessed - before.TilesProcessed},
-				metrics.KV{Key: "cached", Value: stats.TilesFromCache - before.TilesFromCache},
-				metrics.KV{Key: "skipped", Value: stats.TilesSkipped - before.TilesSkipped},
-				metrics.KV{Key: "read_bytes", Value: afterIO.BytesRead - beforeIO.BytesRead},
-				metrics.KV{Key: "iowait", Value: (stats.IOWait - before.IOWait).Round(time.Microsecond)},
-				metrics.KV{Key: "compute", Value: (stats.Compute - before.Compute).Round(time.Microsecond)},
-				metrics.KV{Key: "pool_used", Value: e.mm.PoolUsed()},
-				metrics.KV{Key: "pool_cap", Value: e.mm.PoolCap()})
-		}
-		if done {
-			break
+// admit takes r's admission snapshot; the caller is about to add r to
+// the sweep batch.
+func (e *Engine) admit(r *runState) {
+	adm := &r.adm
+	adm.busy = make([]int64, len(e.workers))
+	adm.chunks = make([]int64, len(e.workers))
+	for i := range e.workers {
+		adm.busy[i] = e.workers[i].busyNS.Load()
+		adm.chunks[i] = e.workers[i].chunks.Load()
+	}
+	adm.ext, _ = storage.ExtStatsOf(e.array)
+	if fd, ok := e.array.(*storage.FaultDevice); ok {
+		adm.faults = fd.FaultStats()
+	}
+	adm.unattributed = e.unattributedBytes.Load()
+}
+
+// iterate drives one SCR iteration for every live run of batch: the
+// cancellation poll, BeforeIteration, the shared sweep, classification of
+// its outcome, AfterIteration, and the convergence and MaxIterations
+// checks. It is the only place a run's iteration sequence advances. A run
+// that ends here is marked finished with its outcome in err; the caller
+// seals it.
+func (e *Engine) iterate(batch []*runState) {
+	if pollBatch(batch) == 0 {
+		return
+	}
+	for _, r := range batch {
+		if !r.finished {
+			r.alg.BeforeIteration(r.iter)
 		}
 	}
+	var marks []traceMark
+	if e.opts.Trace != nil {
+		marks = make([]traceMark, len(batch))
+		for j, r := range batch {
+			marks[j] = traceMark{*r.stats, r.bytesFrac}
+		}
+	}
+	if err := e.sweepIteration(batch); err != nil {
+		if errors.Is(err, errBatchDone) {
+			// Every run finished (canceled) mid-sweep; the outcomes are
+			// on the runStates already.
+			return
+		}
+		// Sweep-fatal: a storage or integrity failure poisons every run
+		// that was riding the stream.
+		var ie *IntegrityError
+		integrity := errors.As(err, &ie)
+		for _, r := range batch {
+			if r.finished {
+				continue
+			}
+			if integrity {
+				r.stats.IntegrityErrors++
+			}
+			r.finished = true
+			r.err = err
+		}
+		return
+	}
+	for j, r := range batch {
+		if r.finished {
+			continue
+		}
+		r.stats.Iterations = r.iter + 1
+		converged := r.alg.AfterIteration(r.iter)
+		if marks != nil {
+			e.traceIteration(r, marks[j])
+		}
+		r.iter++
+		if converged || r.iter >= e.opts.MaxIterations {
+			r.finished = true
+		}
+	}
+}
 
-	stats.Elapsed = time.Since(begin)
-	stats.MetadataBytes = a.MetadataBytes()
-	stats.Mem = e.mm.Stats()
-	busyEnd, chunksEnd := e.workerSnapshot()
-	stats.WorkerBusy = make([]time.Duration, len(busyEnd))
-	stats.WorkerChunks = make([]int64, len(chunksEnd))
+// traceMark is a run's counters at the start of a traced iteration.
+type traceMark struct {
+	stats     Stats
+	bytesFrac float64
+}
+
+// traceIteration writes r's per-iteration event to Options.Trace.
+func (e *Engine) traceIteration(r *runState, m traceMark) {
+	st, before := r.stats, &m.stats
+	metrics.WriteEvent(e.opts.Trace, "iteration",
+		metrics.KV{Key: "algo", Value: r.alg.Name()},
+		metrics.KV{Key: "iter", Value: r.iter},
+		metrics.KV{Key: "tiles", Value: st.TilesProcessed - before.TilesProcessed},
+		metrics.KV{Key: "cached", Value: st.TilesFromCache - before.TilesFromCache},
+		metrics.KV{Key: "skipped", Value: st.TilesSkipped - before.TilesSkipped},
+		metrics.KV{Key: "read_bytes", Value: int64(math.Round(r.bytesFrac - m.bytesFrac))},
+		metrics.KV{Key: "iowait", Value: (st.IOWait - before.IOWait).Round(time.Microsecond)},
+		metrics.KV{Key: "compute", Value: (st.Compute - before.Compute).Round(time.Microsecond)},
+		metrics.KV{Key: "pool_used", Value: e.mm.PoolUsed()},
+		metrics.KV{Key: "pool_cap", Value: e.mm.PoolCap()})
+}
+
+// seal finalizes a finished run's statistics, whatever its outcome:
+// elapsed time, memory and storage state, its fractional share of the
+// I/O, and every engine-wide counter as the delta since its admission.
+func (e *Engine) seal(r *runState) {
+	st, adm := r.stats, &r.adm
+	st.Elapsed = time.Since(r.began)
+	st.MetadataBytes = r.alg.MetadataBytes()
+	st.Mem = e.mm.Stats()
+	st.Storage = e.array.Stats()
+	st.BytesRead = int64(math.Round(r.bytesFrac))
+	st.IORequests = int64(math.Round(r.reqFrac))
+	st.UnattributedBytes = e.unattributedBytes.Load() - adm.unattributed
+	if ext, ok := storage.ExtStatsOf(e.array); ok {
+		st.IO = ext.Sub(adm.ext)
+	}
+	if fd, ok := e.array.(*storage.FaultDevice); ok {
+		st.Faults = fd.FaultStats().Sub(adm.faults)
+	}
+	st.WorkerBusy = make([]time.Duration, len(e.workers))
+	st.WorkerChunks = make([]int64, len(e.workers))
 	var busySum, busyMax time.Duration
-	for i := range busyEnd {
-		d := time.Duration(busyEnd[i] - busyStart[i])
-		stats.WorkerBusy[i] = d
-		stats.WorkerChunks[i] = chunksEnd[i] - chunksStart[i]
+	for i := range e.workers {
+		d := time.Duration(e.workers[i].busyNS.Load() - adm.busy[i])
+		st.WorkerBusy[i] = d
+		st.WorkerChunks[i] = e.workers[i].chunks.Load() - adm.chunks[i]
 		busySum += d
-		if d > busyMax {
-			busyMax = d
-		}
+		busyMax = max(busyMax, d)
 	}
-	if busySum > 0 && len(busyEnd) > 0 {
-		mean := float64(busySum) / float64(len(busyEnd))
-		stats.Imbalance = float64(busyMax) / mean
+	if busySum > 0 {
+		st.Imbalance = float64(busyMax) / (float64(busySum) / float64(len(e.workers)))
 	}
-	end := e.array.Stats()
-	stats.Storage = end
-	stats.BytesRead = end.BytesRead - startStorage.BytesRead
-	stats.IORequests = end.Requests - startStorage.Requests
-	stats.UnattributedBytes = e.unattributedBytes.Load() - startUnattr
-	if hasFaults {
-		stats.Faults = fd.FaultStats().Sub(startFaults)
+}
+
+// outcome is what a sealed run returns to its caller: the stats on
+// success, the partial stats alongside an *IntegrityError (so the
+// verification counters still reach metrics), and no stats otherwise.
+func (r *runState) outcome() (*Stats, error) {
+	var ie *IntegrityError
+	if r.err != nil && !errors.As(r.err, &ie) {
+		return nil, r.err
 	}
-	if hasExt {
-		endExt, _ := storage.ExtStatsOf(e.array)
-		stats.IO = endExt.Sub(startExt)
-	}
-	return stats, nil
+	return r.stats, r.err
 }
 
 // sweepScratch is the per-iteration planning state, reused across

@@ -349,3 +349,57 @@ func TestEngineReuse(t *testing.T) {
 		}
 	}
 }
+
+func TestEngineHDDTier(t *testing.T) {
+	el := kron(t, 10, 8, 32)
+	g := convert(t, el, 6, 4)
+	opts := smallOpts()
+	opts.Cache = CacheNone
+	opts.Bandwidth = 512 << 20
+	opts.HDD = &HDDTier{Fraction: 0.5, Disks: 1, Bandwidth: 64 << 20}
+	b := algo.NewBFS(0)
+	st := runAlg(t, g, opts, b)
+	want := graph.RefBFS(graph.NewCSR(el, false), 0)
+	for v, d := range b.Depths() {
+		if d != want[v] {
+			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+		}
+	}
+	if st.BytesRead == 0 {
+		t.Fatal("no bytes read through tiered device")
+	}
+}
+
+func TestEngineHDDTierValidation(t *testing.T) {
+	el := kron(t, 9, 4, 33)
+	g := convert(t, el, 5, 2)
+	opts := smallOpts()
+	opts.HDD = &HDDTier{Fraction: 1.5}
+	if _, err := NewEngine(g, opts); err == nil {
+		t.Fatal("fraction > 1 accepted")
+	}
+}
+
+// The tiered engine must slow down gracefully as more of the graph moves
+// to the slow tier.
+func TestEngineHDDTierDegradation(t *testing.T) {
+	el := kron(t, 11, 8, 34)
+	g := convert(t, el, 6, 4)
+	// Compare the storage model's charged service time rather than
+	// wall-clock, which compute noise (e.g. the race detector) distorts.
+	busy := func(frac float64) int64 {
+		opts := smallOpts()
+		opts.Cache = CacheNone
+		opts.Bandwidth = 1 << 30
+		opts.Latency = 10 * time.Microsecond
+		opts.HDD = &HDDTier{Fraction: frac, Disks: 1, Bandwidth: 2 << 20,
+			Latency: time.Millisecond}
+		st := runAlg(t, g, opts, algo.NewPageRank(2))
+		return int64(st.Storage.BusyTime)
+	}
+	fast := busy(0)
+	slow := busy(0.9)
+	if slow < 2*fast {
+		t.Fatalf("90%% HDD run charged %d busy-ns, all-SSD %d; expected much more", slow, fast)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/gwu-systems/gstore/internal/mem"
 	"github.com/gwu-systems/gstore/internal/storage"
+	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // CachePolicy selects how the memory beyond the two streaming segments is
@@ -136,8 +137,9 @@ type Options struct {
 	// tiles file is served by a slower device.
 	HDD *HDDTier
 
-	// Trace, when non-nil, receives one diagnostic line per iteration
-	// (tiles processed / cached / skipped, bytes read, IO wait, compute).
+	// Trace, when non-nil, receives one diagnostic line per run per
+	// iteration, on solo and scheduled runs alike (tiles processed /
+	// cached / skipped, bytes read, IO wait, compute).
 	Trace io.Writer
 
 	// MaxConcurrentRuns caps how many algorithm runs a Scheduler
@@ -187,6 +189,25 @@ func DefaultOptions() Options {
 		MaxConcurrentRuns: 4,
 		MaxQueuedRuns:     64,
 	}
+}
+
+// ResidentOptions sizes an engine so the whole of g stays in memory: the
+// in-memory mode of the paper's Figures 2b and 11 and the Ligra/Galois
+// regime of §VIII, run by the same SCR engine as every other query. The
+// budget is the tile data plus four segments, so the cache pool (the
+// budget less the two streaming segments) holds every tile with two
+// segments to spare; the first iteration streams the tiles in from the
+// unthrottled simulated array and later iterations rewind over the pool.
+func ResidentOptions(g *tile.Graph) Options {
+	o := DefaultOptions()
+	data := g.DataBytes()
+	o.SegmentSize = min(max(data/32, 64<<10), 16<<20)
+	for i := 0; i < g.Layout.NumTiles(); i++ {
+		_, n := g.TileByteRange(i)
+		o.SegmentSize = max(o.SegmentSize, n)
+	}
+	o.MemoryBytes = data + 4*o.SegmentSize
+	return o
 }
 
 func (o *Options) normalize() error {
@@ -274,22 +295,29 @@ type Stats struct {
 	// DeltaTiles counts dispatched tiles whose data was merged with the
 	// mutable delta layer (zero without a delta store or mutations).
 	DeltaTiles int64
+	// BytesRead and IORequests are this run's share of the tile reads: a
+	// tile fetched for k co-scheduled runs charges each 1/k of its bytes,
+	// and a segment's requests split across the runs its tiles served, so
+	// the runs of a batch sum to the reads issued. Retried reads and
+	// integrity re-reads are not charged.
 	BytesRead  int64
 	IORequests int64
 	// UnattributedBytes counts fetched tile bytes the engine could charge
 	// to no run during this run's sweeps: every run interested in the tile
 	// finished between fetch planning and dispatch. Normally zero for solo
-	// runs; nonzero values mean BytesRead exceeds the sum of the per-run
-	// fractional attributions by exactly this amount.
+	// runs. On co-scheduled runs it is an admission-window delta that
+	// overlaps with batch neighbours (see IO).
 	UnattributedBytes int64
 
 	// Chunks counts the work items dispatched to workers; it exceeds
 	// TilesProcessed whenever tiles split at the ChunkBytes boundary.
 	Chunks int64
 	// WorkerBusy is, per worker ID, the time spent inside kernel code
-	// during this run.
+	// during this run. On co-scheduled runs it is an admission-window
+	// delta that includes batch neighbours' kernels (see IO).
 	WorkerBusy []time.Duration
-	// WorkerChunks is, per worker ID, the work items processed this run.
+	// WorkerChunks is, per worker ID, the work items processed this run,
+	// over the same window as WorkerBusy.
 	WorkerChunks []int64
 	// Imbalance is max/mean over WorkerBusy: 1.0 is a perfectly balanced
 	// run, Threads is one worker doing everything. Zero when the run did
@@ -314,7 +342,8 @@ type Stats struct {
 	// mismatch that survived the re-read); 0 or 1 per run.
 	IntegrityErrors int64
 	// Faults holds the injected-fault counters for this run when
-	// Options.Fault is set (zero otherwise).
+	// Options.Fault is set (zero otherwise). On co-scheduled runs it is
+	// an admission-window delta shared with batch neighbours (see IO).
 	Faults storage.FaultStats
 
 	// QueueWait is how long the run waited for Scheduler admission before
@@ -329,11 +358,16 @@ type Stats struct {
 	BatchedRoots int
 
 	MetadataBytes int64
-	Mem           mem.Stats
-	Storage       storage.Stats
+	// Mem and Storage are the memory manager's and the storage device's
+	// engine-lifetime counters as they stood when the run finished.
+	Mem     mem.Stats
+	Storage storage.Stats
 	// IO holds the storage backend's extended counters for this run
 	// (queue depth, coalescing, read-latency histogram); Backend is
-	// empty when the device tracks none.
+	// empty when the device tracks none. Like WorkerBusy, Faults and
+	// UnattributedBytes it is the delta since the run joined its sweep
+	// batch: co-scheduled runs' windows overlap, so these counters include
+	// work their batch neighbours caused and do not sum across a batch.
 	IO storage.ExtStats
 }
 

@@ -176,22 +176,39 @@ func refSCCLabels(el *graph.EdgeList) []uint32 {
 func TestEngineTrace(t *testing.T) {
 	el := kron(t, 9, 4, 54)
 	g := convert(t, el, 5, 2)
-	var buf bytes.Buffer
-	opts := smallOpts()
-	opts.Trace = &buf
-	runAlg(t, g, opts, algo.NewBFS(0))
-	out := buf.String()
-	// Trace lines are structured key=value events now.
-	for _, want := range []string{
-		"event=iteration", "algo=bfs", "iter=0",
-		"read_bytes=", "iowait=", "compute=", "pool_used=", "pool_cap=",
+	// The solo entry point and the scheduler drive the same iterate loop,
+	// so both trace every iteration.
+	for _, tc := range []struct {
+		name string
+		run  func(opts Options, a algo.Algorithm)
+	}{
+		{"Engine.Run", func(opts Options, a algo.Algorithm) { runAlg(t, g, opts, a) }},
+		{"Scheduler.Run", func(opts Options, a algo.Algorithm) {
+			_, s := newSched(t, g, opts)
+			if _, err := s.Run(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace output missing %q:\n%s", want, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines < 2 {
-		t.Fatalf("only %d trace lines", lines)
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			opts := smallOpts()
+			opts.Trace = &buf
+			tc.run(opts, algo.NewBFS(0))
+			out := buf.String()
+			// Trace lines are structured key=value events now.
+			for _, want := range []string{
+				"event=iteration", "algo=bfs", "iter=0",
+				"read_bytes=", "iowait=", "compute=", "pool_used=", "pool_cap=",
+			} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("trace output missing %q:\n%s", want, out)
+				}
+			}
+			if lines := strings.Count(out, "\n"); lines < 2 {
+				t.Fatalf("only %d trace lines", lines)
+			}
+		})
 	}
 }
 

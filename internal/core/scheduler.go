@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
-	"github.com/gwu-systems/gstore/internal/storage"
 )
 
 // ErrQueueFull is returned by Scheduler.Run when the batch and the
@@ -162,20 +160,12 @@ func (s *Scheduler) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 	}
 
 	<-r.done
-	if r.err != nil {
-		var ie *IntegrityError
-		if errors.As(r.err, &ie) {
-			return r.stats, r.err
-		}
-		return nil, r.err
-	}
-	return r.stats, nil
+	return r.outcome()
 }
 
 // admitLocked moves a prepared run into the pending set and makes sure a
 // sweep loop is driving. Callers hold s.mu.
 func (s *Scheduler) admitLocked(r *runState) {
-	r.startExt, r.hasExt = storage.ExtStatsOf(s.e.array)
 	s.active++
 	s.pending = append(s.pending, r)
 	if !s.sweeping {
@@ -210,8 +200,10 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 }
 
-// sweepLoop drives shared sweeps until no admitted runs remain. One loop
-// goroutine exists at a time; it exits when the batch drains and is
+// sweepLoop owns the batch: it drives Engine.iterate over the shared
+// sweep until no admitted runs remain, and around it keeps only the join
+// barrier, the batch-occupancy count, and the admission hand-off. One
+// loop goroutine exists at a time; it exits when the batch drains and is
 // relaunched by the next admission.
 func (s *Scheduler) sweepLoop() {
 	e := s.e
@@ -234,6 +226,7 @@ func (s *Scheduler) sweepLoop() {
 			}
 		}
 		batch = live
+		joined := len(batch)
 		batch = append(batch, s.pending...)
 		s.pending = s.pending[:0]
 		if len(batch) == 0 {
@@ -250,86 +243,28 @@ func (s *Scheduler) sweepLoop() {
 		}
 		s.mu.Unlock()
 
+		for _, r := range batch[joined:] {
+			e.admit(r)
+		}
 		// Batch occupancy: every rider records the peak company it kept.
 		for _, r := range batch {
-			if n := len(batch); n > r.stats.SharedRuns {
-				r.stats.SharedRuns = n
-			}
+			r.stats.SharedRuns = max(r.stats.SharedRuns, len(batch))
 		}
 
-		if pollBatch(batch) == 0 {
-			s.completeFinished(batch)
-			continue
-		}
-
-		for _, r := range batch {
-			if !r.finished {
-				r.alg.BeforeIteration(r.iter)
-			}
-		}
-
-		err := e.sweepIteration(batch)
-		switch {
-		case err == nil:
-		case errors.Is(err, errBatchDone):
-			// Every run finished (canceled) mid-sweep; outcomes are on
-			// the runStates already.
-			s.completeFinished(batch)
-			continue
-		default:
-			// Sweep-fatal: storage or integrity failure poisons every
-			// run that was riding the stream.
-			var ie *IntegrityError
-			integrity := errors.As(err, &ie)
-			for _, r := range batch {
-				if r.finished {
-					continue
-				}
-				if integrity {
-					r.stats.IntegrityErrors++
-				}
-				r.finished = true
-				r.err = err
-			}
-			s.completeFinished(batch)
-			continue
-		}
-
-		for _, r := range batch {
-			if r.finished {
-				continue
-			}
-			r.stats.Iterations = r.iter + 1
-			converged := r.alg.AfterIteration(r.iter)
-			r.iter++
-			if converged || r.iter >= e.opts.MaxIterations {
-				r.finished = true
-			}
-		}
+		e.iterate(batch)
 		s.completeFinished(batch)
 	}
 }
 
-// completeFinished seals every finished-but-uncompleted run of the
-// batch: final stats, fractional I/O attribution rounded to integers,
-// the waiter released, and the freed slot handed to the queue head.
+// completeFinished seals every run of the batch that the last iterate
+// finished, releases its waiter, and hands the freed slot to the queue
+// head. The next join barrier drops those runs, so each is sealed once.
 func (s *Scheduler) completeFinished(batch []*runState) {
 	for _, r := range batch {
-		if !r.finished || r.completed {
+		if !r.finished {
 			continue
 		}
-		r.completed = true
-		st := r.stats
-		st.Elapsed = time.Since(r.began)
-		st.MetadataBytes = r.alg.MetadataBytes()
-		st.Mem = s.e.mm.Stats()
-		st.Storage = s.e.array.Stats()
-		st.BytesRead = int64(math.Round(r.bytesFrac))
-		st.IORequests = int64(math.Round(r.reqFrac))
-		if r.hasExt {
-			endExt, _ := storage.ExtStatsOf(s.e.array)
-			st.IO = endExt.Sub(r.startExt)
-		}
+		s.e.seal(r)
 
 		s.mu.Lock()
 		s.active--

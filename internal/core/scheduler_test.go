@@ -97,6 +97,20 @@ func TestSchedulerSoloMatchesEngineRun(t *testing.T) {
 	if st.QueueWait != 0 {
 		t.Fatalf("QueueWait = %v for an immediately admitted run, want 0", st.QueueWait)
 	}
+	// Both paths seal through the same driver, so the per-worker and
+	// injected-fault accounting matches too.
+	sum := func(v []int64) (n int64) {
+		for _, x := range v {
+			n += x
+		}
+		return n
+	}
+	if len(st.WorkerBusy) != len(refSt.WorkerBusy) || sum(st.WorkerChunks) != sum(refSt.WorkerChunks) ||
+		st.Faults != refSt.Faults {
+		t.Fatalf("scheduled run: %d workers, %d chunks, faults %+v; solo: %d workers, %d chunks, faults %+v",
+			len(st.WorkerBusy), sum(st.WorkerChunks), st.Faults,
+			len(refSt.WorkerBusy), sum(refSt.WorkerChunks), refSt.Faults)
+	}
 }
 
 // Eight mixed runs co-scheduled on one sweep must produce the same

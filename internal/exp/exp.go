@@ -273,6 +273,14 @@ func (c *Config) fastOpts(tg *tile.Graph) core.Options {
 	return o
 }
 
+// residentOpts returns the in-memory mode's options: a budget that keeps
+// every tile of tg resident on the unthrottled simulated array.
+func (c *Config) residentOpts(tg *tile.Graph) core.Options {
+	o := core.ResidentOptions(tg)
+	o.Threads = c.Threads
+	return o
+}
+
 // tempWorkDir creates a fresh scratch directory under WorkDir.
 func tempWorkDir(c *Config, name string) (string, error) {
 	if err := os.MkdirAll(c.WorkDir, 0o755); err != nil {

@@ -98,8 +98,8 @@ func Fig2b(c *Config) error {
 	return nil
 }
 
-// inMemoryPageRankTime converts el at the given tile width, preloads all
-// tiles, and times PageRank iterations with no I/O in the loop.
+// inMemoryPageRankTime converts el at the given tile width and times the
+// PageRank kernels on an engine whose budget keeps every tile resident.
 func inMemoryPageRankTime(c *Config, el *graph.EdgeList, bits uint, q uint32) (time.Duration, error) {
 	dir, err := tempWorkDir(c, "fig2b")
 	if err != nil {
@@ -112,16 +112,12 @@ func inMemoryPageRankTime(c *Config, el *graph.EdgeList, bits uint, q uint32) (t
 		return 0, err
 	}
 	defer tg.Close()
-	mg, err := core.LoadInMemory(tg)
-	if err != nil {
-		return 0, err
-	}
 	const iters = 3
-	st, err := mg.Run(algo.NewPageRank(iters), c.Threads, iters)
+	st, err := runEngine(tg, c.residentOpts(tg), algo.NewPageRank(iters))
 	if err != nil {
 		return 0, err
 	}
-	return st.Elapsed / iters, nil
+	return st.Compute / iters, nil
 }
 
 // Fig2c reproduces Figure 2(c): the amount of memory dedicated to

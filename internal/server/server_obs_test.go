@@ -162,6 +162,51 @@ func TestEngineFaultIs500(t *testing.T) {
 	}
 }
 
+// TestScheduledRunPublishesWorkerAndFaultMetrics serves one PageRank
+// through the scheduler over a device injecting transient read errors
+// that retries recover. The run succeeds, and /metrics must carry the
+// per-worker, imbalance and injected-fault series it produced.
+func TestScheduledRunPublishesWorkerAndFaultMetrics(t *testing.T) {
+	s := New()
+	t.Cleanup(s.Close)
+	opts := core.DefaultOptions()
+	opts.MemoryBytes = 2 << 20
+	opts.SegmentSize = 128 << 10
+	opts.Threads = 2
+	opts.Cache = core.CacheNone // every iteration reads, so faults fire
+	opts.MaxRetries = 64
+	opts.Fault = &storage.FaultConfig{Seed: 7, ErrorRate: 0.5}
+	addGraph(t, s, "flaky", opts)
+	ts := newTestHTTP(t, s)
+
+	resp, out := post(t, ts+"/graphs/flaky/pagerank", map[string]interface{}{"iterations": 5, "top": 1})
+	if resp.StatusCode != 200 {
+		t.Fatalf("pagerank status %d: %v", resp.StatusCode, out)
+	}
+	body := fetchMetrics(t, ts)
+	for _, name := range []string{
+		"gstore_engine_worker_busy_microseconds_total",
+		"gstore_engine_worker_chunks_total",
+		"gstore_engine_compute_imbalance",
+		"gstore_engine_faults_injected_errors_total",
+	} {
+		var total float64
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.HasPrefix(line, name+"{") {
+				continue
+			}
+			var v float64
+			if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v); err != nil {
+				t.Fatalf("unparsable series %q: %v", line, err)
+			}
+			total += v
+		}
+		if total <= 0 {
+			t.Fatalf("/metrics has no non-zero %s after a scheduled run:\n%s", name, body)
+		}
+	}
+}
+
 // TestGraphNameValidation rejects unservable names at AddGraph.
 func TestGraphNameValidation(t *testing.T) {
 	s := New()
