@@ -1,9 +1,12 @@
-// Package algo implements the three graph algorithms of the paper's
-// evaluation (§II-B) as tile kernels: breadth-first search, PageRank and
-// weakly connected components. Each algorithm exposes the metadata hooks
-// the engine needs for selective fetching (§V-B) and proactive caching
-// (§VI-C): which tiles it needs this iteration and which it predicts it
-// will need next iteration.
+// Package algo implements the graph algorithms of the paper's evaluation
+// (§II-B) and their variants as tile kernels: breadth-first search
+// (level-synchronous, asynchronous and 64-source), PageRank and
+// personalized PageRank, and weakly and strongly connected components.
+// Each kernel has one entry point, ProcessTileChunk, with one loop over
+// the tuple pairs tile.DecodeBatch decodes, whatever the codec. Each
+// algorithm also exposes the metadata hooks the engine needs for
+// selective fetching (§V-B) and proactive caching (§VI-C): which tiles it
+// needs this iteration and which it predicts it will need next iteration.
 package algo
 
 import (
@@ -21,21 +24,14 @@ type Context struct {
 	// Half reports upper-triangle (symmetry) storage: kernels must then
 	// process every tuple in both directions (Algorithm 1 in the paper).
 	Half bool
-	// SNB reports the tuple encoding of the data handed to ProcessTile.
-	// Retained for the fixed-width fast paths; Codec is authoritative.
-	SNB bool
-	// Codec is the tuple codec of the data handed to ProcessTile /
-	// ProcessTileChunk. Kernels keep inline SNB/raw decode loops for the
-	// fixed-width codecs and fall back to the closure-based block
-	// decoder for CodecV3.
+	// Codec is the tuple codec of the data handed to ProcessTileChunk.
 	Codec tile.Codec
 	// Degrees supplies vertex degrees; nil unless the graph was converted
 	// with degree output. PageRank requires it.
 	Degrees tile.DegreeSource
-	// Workers is the number of engine worker goroutines that will call
+	// Workers is the number of goroutines that will call
 	// ProcessTileChunk, each with a stable ID in [0, Workers). Kernels
-	// implementing ChunkedAlgorithm size their per-worker state from it.
-	// Zero means the caller only uses ProcessTile (in-memory mode, tests).
+	// size their per-worker state from it; zero means one worker.
 	Workers int
 }
 
@@ -46,28 +42,34 @@ func (c *Context) validate() error {
 	return nil
 }
 
-// codec reconciles the Codec and legacy SNB fields: contexts built
-// without an explicit Codec (zero value CodecSNB) defer to the SNB flag
-// for the snb/raw choice, so old constructors keep working.
-func (c *Context) codec() tile.Codec {
-	if c.Codec == tile.CodecV3 {
-		return tile.CodecV3
-	}
-	if c.SNB {
-		return tile.CodecSNB
-	}
-	return tile.CodecRaw
+// bases returns the first vertex IDs of tile (row, col)'s source and
+// destination ranges, the offsets DecodeBatch adds to in-tile tuples.
+func (c *Context) bases(row, col uint32) (rowBase, colBase uint32) {
+	rowBase, _ = c.Layout.VertexRange(row)
+	colBase, _ = c.Layout.VertexRange(col)
+	return rowBase, colBase
 }
 
 // Algorithm is the engine-facing interface of a tile kernel.
 //
 // The engine guarantees: Init once; then for each iteration a
-// BeforeIteration call, any number of concurrent ProcessTile calls (from
-// multiple goroutines), then one AfterIteration call. NeedTileThisIter is
-// only called between AfterIteration and the next iteration's processing;
-// NeedTileNextIter may be called concurrently with ProcessTile (it reads
-// partially accumulated next-iteration metadata, which is exactly the
-// paper's "partial information" caching, §VI-C Rule 2).
+// BeforeIteration call, any number of concurrent ProcessTileChunk calls
+// (from Context.Workers goroutines), then one AfterIteration call.
+// NeedTileThisIter is only called between AfterIteration and the next
+// iteration's processing; NeedTileNextIter may be called concurrently
+// with ProcessTileChunk (it reads partially accumulated next-iteration
+// metadata, which is exactly the paper's "partial information" caching,
+// §VI-C Rule 2).
+//
+// A chunk is a whole number of tuples (or v3 blocks) from a single tile
+// (row, col); the union of a tile's chunks is exactly its data, and the
+// engine splits a tile only when it exceeds the chunk size. Chunks of one
+// tile may be processed concurrently by different workers; two calls with
+// the same worker ID never run concurrently, so kernels accumulate into
+// per-worker state without locks (FlashGraph per-thread partitioning;
+// BigSparse merge-reduce) and batch shared-metadata updates per chunk.
+// Per-worker state is reduced in AfterIteration, after every chunk of the
+// iteration is done.
 type Algorithm interface {
 	// Name is a short identifier ("bfs", "pagerank", "wcc").
 	Name() string
@@ -75,9 +77,15 @@ type Algorithm interface {
 	Init(ctx *Context) error
 	// BeforeIteration prepares iteration iter (0-based).
 	BeforeIteration(iter int)
-	// ProcessTile consumes the tuples of tile (row, col). data holds
-	// whole tuples in the encoding announced by Context.SNB. Safe for
-	// concurrent invocation on distinct tiles.
+	// ProcessTileChunk consumes one chunk of tile (row, col)'s data, in
+	// the encoding announced by Context.Codec, on behalf of worker
+	// (0 <= worker < max(Context.Workers, 1)). Safe for concurrent
+	// invocation with distinct worker IDs, including on chunks of the
+	// same tile.
+	ProcessTileChunk(worker int, row, col uint32, data []byte)
+	// ProcessTile is ProcessTileChunk(0, row, col, data): a whole tile
+	// as worker 0. It is not safe for concurrent invocation. The engine
+	// never calls it; it remains for callers that wrap kernels by tile.
 	ProcessTile(row, col uint32, data []byte)
 	// AfterIteration finishes iteration iter and reports convergence.
 	AfterIteration(iter int) (done bool)
@@ -92,47 +100,6 @@ type Algorithm interface {
 	MetadataBytes() int64
 }
 
-// ChunkedAlgorithm is the optional contention-free extension of
-// Algorithm. Engines that partition tiles into tuple-aligned chunks call
-// ProcessTileChunk instead of ProcessTile, handing every call a stable
-// worker ID so the kernel can accumulate into per-worker state (FlashGraph
-// per-thread partitioning; BigSparse merge-reduce) and batch shared-metadata
-// updates per chunk instead of per edge.
-//
-// Contract: a chunk is a whole number of tuples from a single tile
-// (row, col); the union of a tile's chunks is exactly its data; chunks of
-// one tile may be processed concurrently by different workers. Two calls
-// with the same worker ID never run concurrently. Reduction of per-worker
-// state happens in AfterIteration, after every chunk of the iteration is
-// done.
-type ChunkedAlgorithm interface {
-	Algorithm
-	// ProcessTileChunk consumes one tuple-aligned slice of tile
-	// (row, col)'s data on behalf of worker (0 <= worker <
-	// Context.Workers). Safe for concurrent invocation with distinct
-	// worker IDs, including on chunks of the same tile.
-	ProcessTileChunk(worker int, row, col uint32, data []byte)
-}
-
-// decodeLoop iterates tuples of a tile without a closure per edge for the
-// fixed-width codecs. Kernels inline their own loops for the hot path;
-// this helper is used by tests and non-critical paths. V3 data always
-// goes through the closure-based block decoder (the engine verified the
-// tile's CRC before dispatch, so decode errors are ignored here — fsck
-// and Verify surface them with context).
-func decodeLoop(c tile.Codec, rowBase, colBase uint32, data []byte, fn func(src, dst uint32)) {
-	switch c {
-	case tile.CodecSNB:
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			s, d := tile.GetSNB(data[i:])
-			fn(rowBase+uint32(s), colBase+uint32(d))
-		}
-	case tile.CodecV3:
-		_ = tile.DecodeV3(data, rowBase, colBase, fn)
-	default:
-		for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-			s, d := tile.GetRaw(data[i:])
-			fn(s, d)
-		}
-	}
-}
+// ChunkedAlgorithm is Algorithm. The alias keeps the name that the
+// benchmark's tracing wrapper (perfbench/trace.go) type-asserts.
+type ChunkedAlgorithm = Algorithm

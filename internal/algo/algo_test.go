@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -8,15 +9,32 @@ import (
 
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
+	"github.com/gwu-systems/gstore/internal/mem"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// loadTiles converts el and loads every tile into memory for the
-// mini-engine below.
+// The test harness runs kernels the way the engine does: every tile split
+// into chunks of at most testChunkBytes (mem.TileRef.Chunks, so v3 tiles
+// split only at block boundaries), handed to testWorkers goroutines with
+// stable worker IDs through ProcessTileChunk.
+const (
+	testWorkers    = 3
+	testChunkBytes = 64
+)
+
+// codecs lists the tuple codecs every kernel is checked on.
+var codecs = []string{"snb", "raw", "v3"}
+
+// memGraph is a converted graph with every tile's chunks in memory.
 type memGraph struct {
 	g     *tile.Graph
 	ctx   *Context
-	tiles [][]byte
+	tiles []memTile // disk order
+}
+
+type memTile struct {
+	row, col uint32
+	chunks   [][]byte
 }
 
 func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph {
@@ -26,66 +44,119 @@ func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Close() })
-	mg := &memGraph{g: g}
-	var deg tile.DegreeSource
-	if g.Meta.DegreeFormat != "" {
-		deg, err = g.Degrees()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	mg.ctx = &Context{
-		NumVertices: g.Meta.NumVertices,
-		Layout:      g.Layout,
-		Directed:    g.Meta.Directed,
-		Half:        g.Meta.Half,
-		SNB:         g.Meta.SNB,
-		Degrees:     deg,
-	}
-	for i := 0; i < g.Layout.NumTiles(); i++ {
-		data, err := g.ReadTile(i, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg.tiles = append(mg.tiles, append([]byte(nil), data...))
+	mg, err := newMemGraph(g)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return mg
 }
 
-// run drives an algorithm the way the engine does: iterate, process the
-// tiles the kernel asks for (concurrently when parallel is set), stop at
-// convergence. It returns the iteration count and verifies that skipped
-// tiles were genuinely unneeded by re-checking against a full pass.
-func (mg *memGraph) run(t *testing.T, a Algorithm, parallel bool, maxIter int) int {
-	t.Helper()
+func newMemGraph(g *tile.Graph) (*memGraph, error) {
+	mg := &memGraph{g: g, ctx: &Context{
+		NumVertices: g.Meta.NumVertices,
+		Layout:      g.Layout,
+		Directed:    g.Meta.Directed,
+		Half:        g.Meta.Half,
+		Codec:       g.Meta.TupleCodec(),
+		Workers:     testWorkers,
+	}}
+	if g.Meta.DegreeFormat != "" {
+		deg, err := g.Degrees()
+		if err != nil {
+			return nil, err
+		}
+		mg.ctx.Degrees = deg
+	}
+	for i := 0; i < g.Layout.NumTiles(); i++ {
+		data, err := g.ReadTile(i, nil)
+		if err != nil {
+			return nil, err
+		}
+		c := g.Layout.CoordAt(i)
+		ref := mem.TileRef{Codec: mg.ctx.Codec, Data: append([]byte(nil), data...)}
+		mg.tiles = append(mg.tiles, memTile{row: c.Row, col: c.Col, chunks: ref.Chunks(testChunkBytes)})
+	}
+	return mg, nil
+}
+
+// eachCodec converts el under every codec in turn and runs fn on each as
+// a subtest.
+func eachCodec(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions, fn func(t *testing.T, mg *memGraph)) {
+	for _, codec := range codecs {
+		t.Run(codec, func(t *testing.T) {
+			opts.Codec = codec
+			fn(t, load(t, el, opts))
+		})
+	}
+}
+
+// maxChunks reports the most chunks any tile was split into.
+func (mg *memGraph) maxChunks() int {
+	most := 0
+	for _, tl := range mg.tiles {
+		most = max(most, len(tl.chunks))
+	}
+	return most
+}
+
+// iterate drives a until convergence: each iteration hands the chunks of
+// every tile the kernel asks for to testWorkers goroutines (parallel) or
+// to worker 0 in disk order. It returns the iteration count and visited
+// tiles, or an error if a fails to initialize or converge.
+func (mg *memGraph) iterate(a Algorithm, parallel bool, maxIter int) (iters, visits int, err error) {
 	if err := a.Init(mg.ctx); err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		a.BeforeIteration(iter)
-		var wg sync.WaitGroup
-		for i, data := range mg.tiles {
-			c := mg.g.Layout.CoordAt(i)
-			if !a.NeedTileThisIter(c.Row, c.Col) {
-				continue
-			}
-			if parallel {
-				wg.Add(1)
-				go func(row, col uint32, d []byte) {
-					defer wg.Done()
-					a.ProcessTile(row, col, d)
-				}(c.Row, c.Col, data)
-			} else {
-				a.ProcessTile(c.Row, c.Col, data)
+		var need []memTile
+		for _, tl := range mg.tiles {
+			if a.NeedTileThisIter(tl.row, tl.col) {
+				need = append(need, tl)
 			}
 		}
-		wg.Wait()
+		visits += len(need)
+		if parallel {
+			work := make(chan func(worker int))
+			var wg sync.WaitGroup
+			for w := 0; w < testWorkers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for process := range work {
+						process(w)
+					}
+				}()
+			}
+			for _, tl := range need {
+				for _, c := range tl.chunks {
+					work <- func(worker int) { a.ProcessTileChunk(worker, tl.row, tl.col, c) }
+				}
+			}
+			close(work)
+			wg.Wait()
+		} else {
+			for _, tl := range need {
+				for _, c := range tl.chunks {
+					a.ProcessTileChunk(0, tl.row, tl.col, c)
+				}
+			}
+		}
 		if a.AfterIteration(iter) {
-			return iter + 1
+			return iter + 1, visits, nil
 		}
 	}
-	t.Fatalf("%s did not converge in %d iterations", a.Name(), maxIter)
-	return maxIter
+	return maxIter, visits, fmt.Errorf("%s did not converge in %d iterations", a.Name(), maxIter)
+}
+
+// run is iterate for tests that expect convergence.
+func (mg *memGraph) run(t *testing.T, a Algorithm, parallel bool, maxIter int) int {
+	t.Helper()
+	iters, _, err := mg.iterate(a, parallel, maxIter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return iters
 }
 
 func defaultOpts() tile.ConvertOptions {
@@ -105,15 +176,16 @@ func kronEL(t *testing.T, scale uint, ef int, seed uint64) *graph.EdgeList {
 
 func TestBFSMatchesReferenceUndirected(t *testing.T) {
 	el := kronEL(t, 9, 8, 1)
-	mg := load(t, el, defaultOpts())
-	b := NewBFS(0)
-	mg.run(t, b, true, 1000)
 	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		b := NewBFS(0)
+		mg.run(t, b, true, 1000)
+		for v, d := range b.Depths() {
+			if d != want[v] {
+				t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+			}
 		}
-	}
+	})
 }
 
 func TestBFSDirected(t *testing.T) {
@@ -121,18 +193,19 @@ func TestBFSDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := load(t, el, defaultOpts())
-	if mg.ctx.Half {
-		t.Fatal("directed graph loaded as half")
-	}
-	b := NewBFS(0)
-	mg.run(t, b, true, 1000)
 	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		if mg.ctx.Half {
+			t.Fatal("directed graph loaded as half")
 		}
-	}
+		b := NewBFS(0)
+		mg.run(t, b, true, 1000)
+		for v, d := range b.Depths() {
+			if d != want[v] {
+				t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+			}
+		}
+	})
 }
 
 func TestBFSWithoutSNB(t *testing.T) {
@@ -173,24 +246,11 @@ func TestBFSSelectiveSkipsTiles(t *testing.T) {
 	if err := b.Init(mg.ctx); err != nil {
 		t.Fatal(err)
 	}
-	needed := 0
-	total := 0
-	for iter := 0; iter < int(n); iter++ {
-		b.BeforeIteration(iter)
-		for i, data := range mg.tiles {
-			c := mg.g.Layout.CoordAt(i)
-			total++
-			if !b.NeedTileThisIter(c.Row, c.Col) {
-				continue
-			}
-			needed++
-			b.ProcessTile(c.Row, c.Col, data)
-		}
-		if b.AfterIteration(iter) {
-			break
-		}
+	iters, needed, err := mg.iterate(b, true, int(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if needed >= total/2 {
+	if total := iters * len(mg.tiles); needed >= total/2 {
 		t.Fatalf("selective fetch processed %d of %d tile visits; expected a small fraction", needed, total)
 	}
 	want := graph.RefBFS(graph.NewCSR(el, false), 0)
@@ -201,22 +261,123 @@ func TestBFSSelectiveSkipsTiles(t *testing.T) {
 	}
 }
 
+// Every kernel must match its oracle when tiles arrive in several chunks
+// on every codec. TileBits 8 puts more than one v3 block (512 tuples)
+// into the tiles of these graphs, so v3 tiles split too.
+func TestKernelsOnSplitTiles(t *testing.T) {
+	opts := defaultOpts()
+	opts.TileBits = 8
+	el := kronEL(t, 10, 8, 31)
+	csr := graph.NewCSR(el, false)
+	eachCodec(t, el, opts, func(t *testing.T, mg *memGraph) {
+		if mg.maxChunks() < 2 {
+			t.Fatal("no tile split into several chunks")
+		}
+		roots := []uint32{0, 3, 500}
+		b, a, ms, w, p := NewBFS(roots[0]), NewAsyncBFS(roots[0]), NewMSBFS(roots), NewWCC(), NewPageRank(10)
+		for _, k := range []Algorithm{b, a, ms, w, p} {
+			mg.run(t, k, true, 1000)
+		}
+		sameSlice(t, "bfs", b.Depths(), graph.RefBFS(csr, roots[0]))
+		sameSlice(t, "async-bfs", a.Depths(), graph.RefBFS(csr, roots[0]))
+		for i, r := range roots {
+			sameSlice(t, fmt.Sprintf("msbfs source %d", r), ms.Depth(i), graph.RefBFS(csr, r))
+		}
+		sameSlice(t, "wcc", w.Labels(), graph.RefWCC(el))
+		want := graph.RefPageRank(csr, graph.DefaultPageRank(10))
+		for v, r := range p.Ranks() {
+			if math.Abs(r-want[v]) > 1e-9 {
+				t.Fatalf("pagerank: rank[%d] = %v, want %v", v, r, want[v])
+			}
+		}
+	})
+	directed, err := gen.Generate(gen.TwitterLikeConfig(10, 8, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts = sccOpts()
+	opts.TileBits = 8
+	eachCodec(t, directed, opts, func(t *testing.T, mg *memGraph) {
+		if mg.maxChunks() < 2 {
+			t.Fatal("no tile split into several chunks")
+		}
+		sameSlice(t, "scc", runSCC(t, mg), graph.RefSCC(directed))
+	})
+}
+
+// ProcessTileChunk must not allocate on any codec: the decode arrays
+// stay on the kernel's stack. Run on an undirected and a directed graph
+// (SCC accepts only the latter), with a zero Context.Workers, which means
+// one worker.
+func TestProcessTileChunkAllocs(t *testing.T) {
+	directed, err := gen.Generate(gen.TwitterLikeConfig(9, 8, 34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		el   *graph.EdgeList
+		opts tile.ConvertOptions
+	}{{"half", kronEL(t, 9, 8, 33), defaultOpts()}, {"directed", directed, sccOpts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eachCodec(t, tc.el, tc.opts, func(t *testing.T, mg *memGraph) {
+				ctx := *mg.ctx
+				ctx.Workers = 0
+				var dense memTile
+				for _, tl := range mg.tiles {
+					if len(tl.chunks) > len(dense.chunks) {
+						dense = tl
+					}
+				}
+				kernels := []Algorithm{NewBFS(0), NewAsyncBFS(0), NewMSBFS([]uint32{0, 7}), NewWCC(), NewPageRank(3), NewPPR(0, 3)}
+				if tc.el.Directed {
+					kernels = append(kernels, NewSCC())
+				}
+				for _, a := range kernels {
+					if err := a.Init(&ctx); err != nil {
+						t.Fatal(err)
+					}
+					a.BeforeIteration(0)
+					allocs := testing.AllocsPerRun(10, func() {
+						for _, c := range dense.chunks {
+							a.ProcessTileChunk(0, dense.row, dense.col, c)
+						}
+					})
+					if allocs != 0 {
+						t.Errorf("%s: %v allocations per tile", a.Name(), allocs)
+					}
+				}
+			})
+		})
+	}
+}
+
+func sameSlice[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("%s: [%d] = %v, want %v", what, v, got[v], want[v])
+		}
+	}
+}
+
 // --- PageRank ---
 
 func TestPageRankMatchesReference(t *testing.T) {
 	el := kronEL(t, 8, 8, 5)
-	mg := load(t, el, defaultOpts())
 	iters := 15
-	p := NewPageRank(iters)
-	if got := mg.run(t, p, true, iters); got != iters {
-		t.Fatalf("ran %d iterations, want %d", got, iters)
-	}
 	want := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(iters))
-	for v, r := range p.Ranks() {
-		if math.Abs(r-want[v]) > 1e-9 {
-			t.Fatalf("rank[%d] = %v, want %v", v, r, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		p := NewPageRank(iters)
+		if got := mg.run(t, p, true, iters); got != iters {
+			t.Fatalf("ran %d iterations, want %d", got, iters)
 		}
-	}
+		for v, r := range p.Ranks() {
+			if math.Abs(r-want[v]) > 1e-9 {
+				t.Fatalf("rank[%d] = %v, want %v", v, r, want[v])
+			}
+		}
+	})
 }
 
 func TestPageRankDirected(t *testing.T) {
@@ -224,16 +385,17 @@ func TestPageRankDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := load(t, el, defaultOpts())
 	iters := 10
-	p := NewPageRank(iters)
-	mg.run(t, p, true, iters)
 	want := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(iters))
-	for v, r := range p.Ranks() {
-		if math.Abs(r-want[v]) > 1e-9 {
-			t.Fatalf("rank[%d] = %v, want %v", v, r, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		p := NewPageRank(iters)
+		mg.run(t, p, true, iters)
+		for v, r := range p.Ranks() {
+			if math.Abs(r-want[v]) > 1e-9 {
+				t.Fatalf("rank[%d] = %v, want %v", v, r, want[v])
+			}
 		}
-	}
+	})
 }
 
 func TestPageRankEpsilonStopsEarly(t *testing.T) {
@@ -280,16 +442,17 @@ func TestPageRankSumInvariant(t *testing.T) {
 func TestWCCMatchesReference(t *testing.T) {
 	// A sparse graph with many components.
 	el := kronEL(t, 9, 1, 10)
-	mg := load(t, el, defaultOpts())
-	w := NewWCC()
-	mg.run(t, w, true, 10000)
 	want := graph.RefWCC(el)
-	for v, l := range w.Labels() {
-		if l != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, l, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		w := NewWCC()
+		mg.run(t, w, true, 10000)
+		for v, l := range w.Labels() {
+			if l != want[v] {
+				t.Fatalf("label[%d] = %d, want %d", v, l, want[v])
+			}
 		}
-	}
-	if graph.ComponentCount(w.Labels()) < 2 {
+	})
+	if graph.ComponentCount(want) < 2 {
 		t.Skip("graph unexpectedly fully connected; skew seed")
 	}
 }
@@ -354,7 +517,7 @@ func TestPageRankAlwaysNeedsAllTiles(t *testing.T) {
 }
 
 // Property: BFS equals the reference on random graphs, random roots,
-// random tile widths, with concurrent tile processing.
+// random tile widths and every codec, with concurrent chunk processing.
 func TestQuickBFSEquivalence(t *testing.T) {
 	f := func(seed uint64, rawRoot uint16, rawBits uint8) bool {
 		el, err := gen.Generate(gen.Graph500Config(7, 4, seed))
@@ -363,45 +526,15 @@ func TestQuickBFSEquivalence(t *testing.T) {
 		}
 		opts := defaultOpts()
 		opts.TileBits = uint(rawBits)%4 + 3
-		g, err := tile.Convert(el, t.TempDir(), "q", opts)
+		mg, err := quickGraph(t, el, opts, seed)
 		if err != nil {
 			return false
 		}
-		defer g.Close()
-		mg := &memGraph{g: g, ctx: &Context{
-			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
-		}}
-		for i := 0; i < g.Layout.NumTiles(); i++ {
-			data, err := g.ReadTile(i, nil)
-			if err != nil {
-				return false
-			}
-			mg.tiles = append(mg.tiles, append([]byte(nil), data...))
-		}
+		defer mg.g.Close()
 		root := uint32(rawRoot) % el.NumVertices
 		b := NewBFS(root)
-		if err := b.Init(mg.ctx); err != nil {
+		if _, _, err := mg.iterate(b, true, 1<<16); err != nil {
 			return false
-		}
-		for iter := 0; iter < 1<<16; iter++ {
-			b.BeforeIteration(iter)
-			var wg sync.WaitGroup
-			for i, data := range mg.tiles {
-				c := g.Layout.CoordAt(i)
-				if !b.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				wg.Add(1)
-				go func(row, col uint32, d []byte) {
-					defer wg.Done()
-					b.ProcessTile(row, col, d)
-				}(c.Row, c.Col, data)
-			}
-			wg.Wait()
-			if b.AfterIteration(iter) {
-				break
-			}
 		}
 		want := graph.RefBFS(graph.NewCSR(el, false), root)
 		for v, d := range b.Depths() {
@@ -423,38 +556,14 @@ func TestQuickWCCEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := tile.Convert(el, t.TempDir(), "q", defaultOpts())
+		mg, err := quickGraph(t, el, defaultOpts(), seed)
 		if err != nil {
 			return false
 		}
-		defer g.Close()
-		mg := &memGraph{g: g, ctx: &Context{
-			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
-		}}
-		for i := 0; i < g.Layout.NumTiles(); i++ {
-			data, err := g.ReadTile(i, nil)
-			if err != nil {
-				return false
-			}
-			mg.tiles = append(mg.tiles, append([]byte(nil), data...))
-		}
+		defer mg.g.Close()
 		w := NewWCC()
-		if err := w.Init(mg.ctx); err != nil {
+		if _, _, err := mg.iterate(w, true, 1<<16); err != nil {
 			return false
-		}
-		for iter := 0; iter < 1<<16; iter++ {
-			w.BeforeIteration(iter)
-			for i, data := range mg.tiles {
-				c := g.Layout.CoordAt(i)
-				if !w.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				w.ProcessTile(c.Row, c.Col, data)
-			}
-			if w.AfterIteration(iter) {
-				break
-			}
 		}
 		want := graph.RefWCC(el)
 		for v, l := range w.Labels() {
@@ -467,4 +576,19 @@ func TestQuickWCCEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickGraph converts a property test's graph in the codec its seed
+// picks, so the properties range over codecs too. The caller closes it.
+func quickGraph(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions, seed uint64) (*memGraph, error) {
+	opts.Codec = codecs[seed%uint64(len(codecs))]
+	g, err := tile.Convert(el, t.TempDir(), "q", opts)
+	if err != nil {
+		return nil, err
+	}
+	mg, err := newMemGraph(g)
+	if err != nil {
+		g.Close()
+	}
+	return mg, err
 }

@@ -78,64 +78,52 @@ func (b *AsyncBFS) BeforeIteration(iter int) {
 	b.iter0 = iter == 0
 }
 
-// ProcessTile implements Algorithm.
-func (b *AsyncBFS) ProcessTile(row, col uint32, data []byte) {
-	if b.ctx.Codec == tile.CodecV3 {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			b.relax(s, d, row, col)
-		})
-		return
-	}
-	if b.ctx.SNB {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			b.relax(rb+uint32(so), cb+uint32(do), row, col)
+// ProcessTileChunk implements Algorithm. The depth relaxations stay
+// atomic (chunks of one tile race on shared vertices); the changed
+// counter and the two change-map bits are accumulated on the stack and
+// flushed once per chunk.
+func (b *AsyncBFS) ProcessTileChunk(_ int, row, col uint32, data []byte) {
+	depth, half := b.depth, b.ctx.Half
+	rb, cb := b.ctx.bases(row, col)
+	var src, dst [tile.V3BlockTuples]uint32
+	var lowCol, lowRow int64
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBatch(b.ctx.Codec, data, rb, cb, &src, &dst)
+		if err != nil {
+			break // the engine verified the tile; fsck reports corruption
 		}
-		return
+		for i := 0; i < n; i++ {
+			s, d := src[i], dst[i]
+			ds := atomic.LoadInt32(&depth[s])
+			dd := atomic.LoadInt32(&depth[d])
+			if ds != unreachedDepth && ds+1 < dd {
+				if atomicMinInt32(&depth[d], ds+1) {
+					lowCol++
+				}
+				dd = atomic.LoadInt32(&depth[d])
+			}
+			// The reverse direction applies only under symmetry storage:
+			// directed edges are one-way.
+			if half && dd != unreachedDepth && dd+1 < ds && atomicMinInt32(&depth[s], dd+1) {
+				lowRow++
+			}
+		}
+		data = rest
 	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		b.relax(s, d, row, col)
+	if lowCol > 0 {
+		b.nextRow.Set(col)
+	}
+	if lowRow > 0 {
+		b.nextRow.Set(row)
+	}
+	if lowCol+lowRow > 0 {
+		b.changed.Add(lowCol + lowRow)
 	}
 }
 
-func (b *AsyncBFS) relax(s, d uint32, row, col uint32) {
-	ds := atomic.LoadInt32(&b.depth[s])
-	dd := atomic.LoadInt32(&b.depth[d])
-	if ds != unreachedDepth && ds+1 < dd {
-		if atomicMinInt32(&b.depth[d], ds+1) {
-			b.nextRow.Set(col)
-			b.changed.Add(1)
-		}
-		dd = atomic.LoadInt32(&b.depth[d])
-	}
-	// The reverse direction applies under symmetry storage, and also for
-	// the forward stream of directed graphs it must NOT apply (edges are
-	// one-way).
-	if b.ctx.Half && dd != unreachedDepth && dd+1 < ds {
-		if atomicMinInt32(&b.depth[s], dd+1) {
-			b.nextRow.Set(row)
-			b.changed.Add(1)
-		}
-	}
-}
-
-// atomicMinInt32 lowers *p to v if smaller; reports whether it changed.
-func atomicMinInt32(p *int32, v int32) bool {
-	for {
-		old := atomic.LoadInt32(p)
-		if v >= old {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(p, old, v) {
-			return true
-		}
-	}
-}
+// ProcessTile implements Algorithm: the whole tile as worker 0, not safe
+// for concurrent use.
+func (b *AsyncBFS) ProcessTile(row, col uint32, data []byte) { b.ProcessTileChunk(0, row, col, data) }
 
 // AfterIteration implements Algorithm.
 func (b *AsyncBFS) AfterIteration(int) bool {

@@ -11,15 +11,16 @@ import (
 
 func TestAsyncBFSMatchesReference(t *testing.T) {
 	el := kronEL(t, 9, 8, 21)
-	mg := load(t, el, defaultOpts())
-	b := NewAsyncBFS(0)
-	mg.run(t, b, true, 1000)
 	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		b := NewAsyncBFS(0)
+		mg.run(t, b, true, 1000)
+		for v, d := range b.Depths() {
+			if d != want[v] {
+				t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+			}
 		}
-	}
+	})
 }
 
 func TestAsyncBFSDirected(t *testing.T) {
@@ -27,15 +28,16 @@ func TestAsyncBFSDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := load(t, el, defaultOpts())
-	b := NewAsyncBFS(0)
-	mg.run(t, b, true, 1000)
 	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		b := NewAsyncBFS(0)
+		mg.run(t, b, true, 1000)
+		for v, d := range b.Depths() {
+			if d != want[v] {
+				t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
+			}
 		}
-	}
+	})
 }
 
 // The asynchronous variant's selling point (§II-B, [26]): it needs fewer
@@ -81,42 +83,15 @@ func TestQuickAsyncEqualsSync(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := tile.Convert(el, t.TempDir(), "q", defaultOpts())
+		mg, err := quickGraph(t, el, defaultOpts(), seed)
 		if err != nil {
 			return false
 		}
-		defer g.Close()
-		ctx := &Context{
-			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
-		}
-		var tiles [][]byte
-		for i := 0; i < g.Layout.NumTiles(); i++ {
-			data, err := g.ReadTile(i, nil)
-			if err != nil {
-				return false
-			}
-			tiles = append(tiles, append([]byte(nil), data...))
-		}
+		defer mg.g.Close()
 		root := uint32(rawRoot) % el.NumVertices
 		runKernel := func(a Algorithm) bool {
-			if err := a.Init(ctx); err != nil {
-				return false
-			}
-			for iter := 0; iter < 1<<16; iter++ {
-				a.BeforeIteration(iter)
-				for i, data := range tiles {
-					co := g.Layout.CoordAt(i)
-					if !a.NeedTileThisIter(co.Row, co.Col) {
-						continue
-					}
-					a.ProcessTile(co.Row, co.Col, data)
-				}
-				if a.AfterIteration(iter) {
-					return true
-				}
-			}
-			return false
+			_, _, err := mg.iterate(a, true, 1<<16)
+			return err == nil
 		}
 		s := NewBFS(root)
 		a := NewAsyncBFS(root)

@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Atomic primitives shared by the kernels. Tiles are processed by many
 // goroutines and — because a tile touches both its row and column ranges
@@ -24,17 +21,40 @@ func atomicMinUint32(p *uint32, v uint32) bool {
 	}
 }
 
-// atomicCASInt32 sets *p to v if it currently holds want.
-func atomicCASInt32(p *int32, want, v int32) bool {
-	return atomic.CompareAndSwapInt32(p, want, v)
+// atomicMaxUint32 raises *p to v if larger; reports whether it changed.
+func atomicMaxUint32(p *uint32, v uint32) bool {
+	for {
+		old := atomic.LoadUint32(p)
+		if v <= old {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(p, old, v) {
+			return true
+		}
+	}
 }
 
-// atomicAddFloat64 adds v to *p with a CAS loop over the bit pattern.
-func atomicAddFloat64(p *uint64, v float64) {
+// atomicMinInt32 lowers *p to v if smaller; reports whether it changed.
+func atomicMinInt32(p *int32, v int32) bool {
+	for {
+		old := atomic.LoadInt32(p)
+		if v >= old {
+			return false
+		}
+		if atomic.CompareAndSwapInt32(p, old, v) {
+			return true
+		}
+	}
+}
+
+// orUint64 sets the bits v in *p; it does nothing if they are all set.
+func orUint64(p *uint64, v uint64) {
 	for {
 		old := atomic.LoadUint64(p)
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(p, old, next) {
+		if old&v == v {
+			return
+		}
+		if atomic.CompareAndSwapUint64(p, old, old|v) {
 			return
 		}
 	}
@@ -74,34 +94,6 @@ func (b *bitset) Clear() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// Any reports whether any bit is set (not concurrent-safe).
-func (b *bitset) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Count returns the number of set bits (not concurrent-safe).
-func (b *bitset) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // SizeBytes reports the bitmap's footprint.

@@ -80,61 +80,37 @@ func (b *BFS) BeforeIteration(iter int) {
 	b.added.Store(0)
 }
 
-// ProcessTile implements Algorithm.
-func (b *BFS) ProcessTile(row, col uint32, data []byte) {
-	level := b.level
-	depth := b.depth
-	if b.ctx.Codec == tile.CodecV3 {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			b.visit(s, d, row, col, level, depth)
-		})
-		return
-	}
-	if b.ctx.SNB {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			b.visit(rb+uint32(so), cb+uint32(do), row, col, level, depth)
-		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		b.visit(s, d, row, col, level, depth)
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm. The depth CAS must stay
-// atomic (chunks of one tile race on shared vertices), but the frontier
-// bitmap and the per-row counters are pure bookkeeping: a chunk touches
-// only its tile's row and column ranges, so discoveries are counted in
-// two stack-local accumulators and flushed with at most three atomic
+// ProcessTileChunk implements Algorithm. The depth CAS must stay atomic
+// (chunks of one tile race on shared vertices), but the frontier bitmap
+// and the per-row counters are pure bookkeeping: a chunk touches only its
+// tile's row and column ranges, so discoveries are counted in two
+// stack-local accumulators and flushed with at most three atomic
 // operations per chunk instead of three per discovered vertex.
 func (b *BFS) ProcessTileChunk(_ int, row, col uint32, data []byte) {
-	level := b.level
-	depth := b.depth
+	level, depth, half := b.level, b.depth, b.ctx.Half
+	rb, cb := b.ctx.bases(row, col)
+	var src, dst [tile.V3BlockTuples]uint32
 	var fwd, rev int64 // discoveries in the col and row ranges
-	if b.ctx.Codec == tile.CodecV3 {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			b.visitBatched(s, d, level, depth, &fwd, &rev)
-		})
-	} else if b.ctx.SNB {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			b.visitBatched(rb+uint32(so), cb+uint32(do), level, depth, &fwd, &rev)
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBatch(b.ctx.Codec, data, rb, cb, &src, &dst)
+		if err != nil {
+			break // the engine verified the tile; fsck reports corruption
 		}
-	} else {
-		for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-			s, d := tile.GetRaw(data[i:])
-			b.visitBatched(s, d, level, depth, &fwd, &rev)
+		for i := 0; i < n; i++ {
+			s, d := src[i], dst[i]
+			// Forward direction: src on the frontier discovers dst.
+			if atomic.LoadInt32(&depth[s]) == level && atomic.LoadInt32(&depth[d]) == -1 &&
+				atomic.CompareAndSwapInt32(&depth[d], -1, level+1) {
+				fwd++
+			}
+			// Algorithm 1's added lines 8–10: with only the upper
+			// triangle stored, the mirrored direction must be checked too.
+			if half && atomic.LoadInt32(&depth[d]) == level && atomic.LoadInt32(&depth[s]) == -1 &&
+				atomic.CompareAndSwapInt32(&depth[s], -1, level+1) {
+				rev++
+			}
 		}
+		data = rest
 	}
 	if fwd > 0 {
 		b.nextRow.Set(col)
@@ -149,44 +125,9 @@ func (b *BFS) ProcessTileChunk(_ int, row, col uint32, data []byte) {
 	}
 }
 
-// visitBatched is visit with the bookkeeping deferred to the caller's
-// per-chunk accumulators; only the depth transition itself is atomic.
-func (b *BFS) visitBatched(s, d uint32, level int32, depth []int32, fwd, rev *int64) {
-	if atomic.LoadInt32(&depth[s]) == level && atomic.LoadInt32(&depth[d]) == -1 {
-		if atomicCASInt32(&depth[d], -1, level+1) {
-			*fwd++
-		}
-	}
-	if b.ctx.Half {
-		if atomic.LoadInt32(&depth[d]) == level && atomic.LoadInt32(&depth[s]) == -1 {
-			if atomicCASInt32(&depth[s], -1, level+1) {
-				*rev++
-			}
-		}
-	}
-}
-
-func (b *BFS) visit(s, d uint32, row, col uint32, level int32, depth []int32) {
-	// Forward direction: src on the frontier discovers dst.
-	if atomic.LoadInt32(&depth[s]) == level && atomic.LoadInt32(&depth[d]) == -1 {
-		if atomicCASInt32(&depth[d], -1, level+1) {
-			b.nextRow.Set(col)
-			b.rowUnvisited[col].Add(-1)
-			b.added.Add(1)
-		}
-	}
-	// Algorithm 1's added lines 8–10: with only the upper triangle stored,
-	// the mirrored direction must be checked too.
-	if b.ctx.Half {
-		if atomic.LoadInt32(&depth[d]) == level && atomic.LoadInt32(&depth[s]) == -1 {
-			if atomicCASInt32(&depth[s], -1, level+1) {
-				b.nextRow.Set(row)
-				b.rowUnvisited[row].Add(-1)
-				b.added.Add(1)
-			}
-		}
-	}
-}
+// ProcessTile implements Algorithm: the whole tile as worker 0, not safe
+// for concurrent use.
+func (b *BFS) ProcessTile(row, col uint32, data []byte) { b.ProcessTileChunk(0, row, col, data) }
 
 // AfterIteration implements Algorithm.
 func (b *BFS) AfterIteration(int) bool {

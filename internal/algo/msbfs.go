@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/gwu-systems/gstore/internal/tile"
@@ -89,86 +90,68 @@ func (m *MSBFS) BeforeIteration(iter int) {
 	m.added.Store(0)
 }
 
-// ProcessTile implements Algorithm.
-func (m *MSBFS) ProcessTile(row, col uint32, data []byte) {
-	if m.ctx.Codec == tile.CodecV3 {
-		rb, _ := m.ctx.Layout.VertexRange(row)
-		cb, _ := m.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			m.advance(s, d, row, col)
-		})
-		return
-	}
-	if m.ctx.SNB {
-		rb, _ := m.ctx.Layout.VertexRange(row)
-		cb, _ := m.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			m.advance(rb+uint32(so), cb+uint32(do), row, col)
+// ProcessTileChunk implements Algorithm. The visited/next mask updates
+// stay atomic (chunks of one tile race on shared vertices); the frontier
+// row bits and the added counter are accumulated on the stack and
+// flushed once per chunk, as in BFS.
+func (m *MSBFS) ProcessTileChunk(_ int, row, col uint32, data []byte) {
+	cur, visited, half := m.cur, m.visited, m.ctx.Half
+	rb, cb := m.ctx.bases(row, col)
+	var src, dst [tile.V3BlockTuples]uint32
+	var fwd, rev int64 // vertices gaining sources in the col and row ranges
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBatch(m.ctx.Codec, data, rb, cb, &src, &dst)
+		if err != nil {
+			break // the engine verified the tile; fsck reports corruption
 		}
-		return
+		for i := 0; i < n; i++ {
+			s, d := src[i], dst[i]
+			if f := atomic.LoadUint64(&cur[s]) &^ atomic.LoadUint64(&visited[d]); f != 0 && m.spread(d, f) {
+				fwd++
+			}
+			if half {
+				if f := atomic.LoadUint64(&cur[d]) &^ atomic.LoadUint64(&visited[s]); f != 0 && m.spread(s, f) {
+					rev++
+				}
+			}
+		}
+		data = rest
 	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		m.advance(s, d, row, col)
+	if fwd > 0 {
+		m.nextRow.Set(col)
+	}
+	if rev > 0 {
+		m.nextRow.Set(row)
+	}
+	if fwd+rev > 0 {
+		m.added.Add(fwd + rev)
 	}
 }
 
-func (m *MSBFS) advance(s, d uint32, row, col uint32) {
-	if f := atomic.LoadUint64(&m.cur[s]) &^ atomic.LoadUint64(&m.visited[d]); f != 0 {
-		m.spread(d, f, col)
-	}
-	if m.ctx.Half {
-		if f := atomic.LoadUint64(&m.cur[d]) &^ atomic.LoadUint64(&m.visited[s]); f != 0 {
-			m.spread(s, f, row)
-		}
-	}
-}
+// ProcessTile implements Algorithm: the whole tile as worker 0, not safe
+// for concurrent use.
+func (m *MSBFS) ProcessTile(row, col uint32, data []byte) { m.ProcessTileChunk(0, row, col, data) }
 
-// spread installs the new frontier bits f at vertex v (tile index t).
-func (m *MSBFS) spread(v uint32, f uint64, t uint32) {
+// spread installs the new frontier bits f at vertex v and records their
+// depths. It reports whether any bit was new.
+func (m *MSBFS) spread(v uint32, f uint64) bool {
 	for {
 		old := atomic.LoadUint64(&m.visited[v])
 		add := f &^ old
 		if add == 0 {
-			return
+			return false
 		}
 		if !atomic.CompareAndSwapUint64(&m.visited[v], old, old|add) {
 			continue
 		}
 		orUint64(&m.next[v], add)
-		m.nextRow.Set(t)
-		m.added.Add(1)
 		// Record depths for the sources that just arrived.
 		n := int(m.ctx.NumVertices)
-		for rest := add; rest != 0; {
-			i := trailingZeros(rest)
-			rest &^= 1 << uint(i)
-			m.depth[i*n+int(v)] = m.level + 1
+		for rest := add; rest != 0; rest &= rest - 1 {
+			m.depth[bits.TrailingZeros64(rest)*n+int(v)] = m.level + 1
 		}
-		return
+		return true
 	}
-}
-
-func orUint64(p *uint64, v uint64) {
-	for {
-		old := atomic.LoadUint64(p)
-		if old&v == v {
-			return
-		}
-		if atomic.CompareAndSwapUint64(p, old, old|v) {
-			return
-		}
-	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // AfterIteration implements Algorithm.

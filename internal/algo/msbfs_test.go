@@ -6,7 +6,6 @@ import (
 
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
-	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 func TestMSBFSValidation(t *testing.T) {
@@ -26,20 +25,28 @@ func TestMSBFSValidation(t *testing.T) {
 
 func TestMSBFSMatchesIndividualBFS(t *testing.T) {
 	el := kronEL(t, 9, 8, 72)
-	mg := load(t, el, defaultOpts())
 	roots := []uint32{0, 1, 17, 100, 255, 300}
-	ms := NewMSBFS(roots)
-	mg.run(t, ms, true, 1000)
+	checkMSBFS(t, el, roots)
+}
+
+// checkMSBFS runs one multi-source BFS from roots on every codec and
+// compares each source's depths with the reference BFS.
+func checkMSBFS(t *testing.T, el *graph.EdgeList, roots []uint32) {
+	t.Helper()
 	csr := graph.NewCSR(el, false)
-	for i, r := range roots {
-		want := graph.RefBFS(csr, r)
-		got := ms.Depth(i)
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("source %d: depth[%d] = %d, want %d", r, v, got[v], want[v])
+	eachCodec(t, el, defaultOpts(), func(t *testing.T, mg *memGraph) {
+		ms := NewMSBFS(roots)
+		mg.run(t, ms, true, 1000)
+		for i, r := range roots {
+			want := graph.RefBFS(csr, r)
+			got := ms.Depth(i)
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("source %d: depth[%d] = %d, want %d", r, v, got[v], want[v])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMSBFSDirected(t *testing.T) {
@@ -47,20 +54,7 @@ func TestMSBFSDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := load(t, el, defaultOpts())
-	roots := []uint32{0, 5, 99}
-	ms := NewMSBFS(roots)
-	mg.run(t, ms, true, 1000)
-	csr := graph.NewCSR(el, false)
-	for i, r := range roots {
-		want := graph.RefBFS(csr, r)
-		got := ms.Depth(i)
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("source %d: depth[%d] = %d, want %d", r, v, got[v], want[v])
-			}
-		}
-	}
+	checkMSBFS(t, el, []uint32{0, 5, 99})
 }
 
 func TestMSBFSSixtyFourSources(t *testing.T) {
@@ -91,26 +85,11 @@ func TestMSBFSSharesPasses(t *testing.T) {
 	mg := load(t, el, defaultOpts())
 
 	countVisits := func(a Algorithm) int {
-		if err := a.Init(mg.ctx); err != nil {
+		_, visits, err := mg.iterate(a, true, 1000)
+		if err != nil {
 			t.Fatal(err)
 		}
-		visits := 0
-		for iter := 0; iter < 1000; iter++ {
-			a.BeforeIteration(iter)
-			for i, data := range mg.tiles {
-				c := mg.g.Layout.CoordAt(i)
-				if !a.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				visits++
-				a.ProcessTile(c.Row, c.Col, data)
-			}
-			if a.AfterIteration(iter) {
-				return visits
-			}
-		}
-		t.Fatal("did not converge")
-		return 0
+		return visits
 	}
 
 	roots := []uint32{0, 9, 33, 70, 111, 222, 333, 444}
@@ -132,43 +111,18 @@ func TestQuickMSBFSEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := convertQuick(t, el)
+		mg, err := quickGraph(t, el, defaultOpts(), seed)
 		if err != nil {
 			return false
 		}
-		defer g.Close()
-		ctx := &Context{
-			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
-		}
-		var tiles [][]byte
-		for i := 0; i < g.Layout.NumTiles(); i++ {
-			data, err := g.ReadTile(i, nil)
-			if err != nil {
-				return false
-			}
-			tiles = append(tiles, append([]byte(nil), data...))
-		}
+		defer mg.g.Close()
 		roots := make([]uint32, len(rawRoots))
 		for i, r := range rawRoots {
 			roots[i] = uint32(r) % el.NumVertices
 		}
 		ms := NewMSBFS(roots)
-		if err := ms.Init(ctx); err != nil {
+		if _, _, err := mg.iterate(ms, true, 1<<16); err != nil {
 			return false
-		}
-		for iter := 0; iter < 1<<16; iter++ {
-			ms.BeforeIteration(iter)
-			for i, data := range tiles {
-				c := g.Layout.CoordAt(i)
-				if !ms.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				ms.ProcessTile(c.Row, c.Col, data)
-			}
-			if ms.AfterIteration(iter) {
-				break
-			}
 		}
 		csr := graph.NewCSR(el, false)
 		for i, r := range roots {
@@ -185,9 +139,4 @@ func TestQuickMSBFSEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func convertQuick(t *testing.T, el *graph.EdgeList) (*tile.Graph, error) {
-	t.Helper()
-	return tile.Convert(el, t.TempDir(), "q", defaultOpts())
 }

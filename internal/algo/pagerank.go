@@ -3,7 +3,6 @@ package algo
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/gwu-systems/gstore/internal/tile"
 )
@@ -29,8 +28,7 @@ type PageRank struct {
 
 	ctx      *Context
 	rank     []float64
-	next     []uint64 // float64 bits, accumulated atomically (ProcessTile path)
-	nextW    [][]float64
+	nextW    [][]float64 // one private accumulator slab per worker
 	share    []float64
 	dangling float64
 	delta    float64
@@ -60,12 +58,11 @@ func (p *PageRank) Init(ctx *Context) error {
 	p.ctx = ctx
 	n := int(ctx.NumVertices)
 	p.rank = make([]float64, n)
-	p.next = make([]uint64, n)
 	p.share = make([]float64, n)
-	// One private accumulator slab per engine worker: the chunked path
-	// adds rank shares without any atomics and AfterIteration reduces the
-	// slabs once (BigSparse-style merge-reduce).
-	p.nextW = make([][]float64, ctx.Workers)
+	// One private accumulator slab per worker: the kernel adds rank
+	// shares without any atomics and AfterIteration reduces the slabs
+	// once (BigSparse-style merge-reduce).
+	p.nextW = make([][]float64, max(ctx.Workers, 1))
 	for w := range p.nextW {
 		p.nextW[w] = make([]float64, n)
 	}
@@ -81,7 +78,7 @@ func (p *PageRank) Ranks() []float64 { return p.rank }
 
 // BeforeIteration implements Algorithm: compute every vertex's outgoing
 // share rank/degree (cached so the per-edge work is one load and one
-// atomic add) and the dangling mass.
+// add) and the dangling mass.
 func (p *PageRank) BeforeIteration(int) {
 	deg := p.ctx.Degrees
 	p.dangling = 0
@@ -94,9 +91,6 @@ func (p *PageRank) BeforeIteration(int) {
 		}
 		p.share[v] = p.rank[v] / float64(d)
 	}
-	for i := range p.next {
-		p.next[i] = 0
-	}
 	for _, slab := range p.nextW {
 		for i := range slab {
 			slab[i] = 0
@@ -104,97 +98,54 @@ func (p *PageRank) BeforeIteration(int) {
 	}
 }
 
-// ProcessTile implements Algorithm.
-func (p *PageRank) ProcessTile(row, col uint32, data []byte) {
-	share := p.share
-	next := p.next
-	both := p.ctx.Half
-	if p.ctx.Codec == tile.CodecV3 {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			atomicAddFloat64(&next[d], share[s])
-			if both && s != d {
-				atomicAddFloat64(&next[s], share[d])
-			}
-		})
-		return
-	}
-	if p.ctx.SNB {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			s, d := rb+uint32(so), cb+uint32(do)
-			atomicAddFloat64(&next[d], share[s])
-			if both && s != d {
-				atomicAddFloat64(&next[s], share[d])
-			}
-		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		atomicAddFloat64(&next[d], share[s])
-		if both && s != d {
-			atomicAddFloat64(&next[s], share[d])
-		}
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm: identical edge-visiting
-// order to ProcessTile, but contributions accumulate in the worker's
-// private slab — the hot path has no atomics at all. The slabs are
-// reduced once in AfterIteration.
+// ProcessTileChunk implements Algorithm: contributions accumulate in the
+// worker's private slab, so the hot path has no atomics at all. The slabs
+// are reduced once in AfterIteration.
 func (p *PageRank) ProcessTileChunk(worker int, row, col uint32, data []byte) {
-	share := p.share
-	next := p.nextW[worker]
-	both := p.ctx.Half
-	if p.ctx.Codec == tile.CodecV3 {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			next[d] += share[s]
-			if both && s != d {
-				next[s] += share[d]
-			}
-		})
-		return
-	}
-	if p.ctx.SNB {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			s, d := rb+uint32(so), cb+uint32(do)
+	share, next, both := p.share, p.nextW[worker], p.ctx.Half
+	rb, cb := p.ctx.bases(row, col)
+	var src, dst [tile.V3BlockTuples]uint32
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBatch(p.ctx.Codec, data, rb, cb, &src, &dst)
+		if err != nil {
+			break // the engine verified the tile; fsck reports corruption
+		}
+		for i := 0; i < n; i++ {
+			s, d := src[i], dst[i]
 			next[d] += share[s]
 			if both && s != d {
 				next[s] += share[d]
 			}
 		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		next[d] += share[s]
-		if both && s != d {
-			next[s] += share[d]
-		}
+		data = rest
 	}
 }
 
-// AfterIteration implements Algorithm: reduce the per-worker slabs, apply
-// damping and the dangling redistribution, measure the L1 delta.
+// ProcessTile implements Algorithm: the whole tile as worker 0, not safe
+// for concurrent use.
+func (p *PageRank) ProcessTile(row, col uint32, data []byte) { p.ProcessTileChunk(0, row, col, data) }
+
+// AfterIteration implements Algorithm: apply damping and the uniform
+// teleport, which spreads the dangling mass too.
 func (p *PageRank) AfterIteration(iter int) bool {
 	n := float64(len(p.rank))
-	base := (1-damping)/n + damping*p.dangling/n
+	return p.reduce(iter, (1-damping)/n+damping*p.dangling/n, -1, 0)
+}
+
+// reduce ends an iteration for PageRank and PPR: it sums the per-worker
+// slabs into each vertex's new rank base + damping*sum (plus restart at
+// vertex root), records the L1 delta and reports convergence.
+func (p *PageRank) reduce(iter int, base float64, root int, restart float64) bool {
 	delta := 0.0
 	for v := range p.rank {
-		sum := math.Float64frombits(atomic.LoadUint64(&p.next[v]))
+		sum := 0.0
 		for _, slab := range p.nextW {
 			sum += slab[v]
 		}
 		nv := base + damping*sum
+		if v == root {
+			nv += restart
+		}
 		delta += math.Abs(nv - p.rank[v])
 		p.rank[v] = nv
 	}
@@ -216,10 +167,10 @@ func (p *PageRank) NeedTileThisIter(uint32, uint32) bool { return true }
 // data would be utilized for the next iteration" (§III Observation 3).
 func (p *PageRank) NeedTileNextIter(uint32, uint32) bool { return true }
 
-// MetadataBytes implements Algorithm: rank + accumulator + share arrays,
-// the per-worker slabs, plus the degree structure.
+// MetadataBytes implements Algorithm: rank and share arrays, the
+// per-worker slabs, plus the degree structure.
 func (p *PageRank) MetadataBytes() int64 {
-	b := int64(len(p.rank))*8 + int64(len(p.next))*8 + int64(len(p.share))*8
+	b := int64(len(p.rank))*8 + int64(len(p.share))*8
 	for _, slab := range p.nextW {
 		b += int64(len(slab)) * 8
 	}

@@ -1,13 +1,9 @@
 package algo
 
-import (
-	"fmt"
-	"math"
-	"sync/atomic"
-)
+import "fmt"
 
 // PPR is personalized PageRank: the restart-vector variant of the
-// chunked PageRank kernel where the teleport distribution is a point
+// PageRank kernel where the teleport distribution is a point
 // mass at Root instead of uniform. Every random walk restarts at the
 // query vertex, so rank concentrates in Root's neighborhood — the
 // per-user relevance score recommendation serving wants. Dangling mass
@@ -48,27 +44,8 @@ func (p *PPR) Init(ctx *Context) error {
 	return nil
 }
 
-// AfterIteration implements Algorithm: reduce the per-worker slabs and
-// apply the personalized teleport — the (1-d) restart mass and the
-// dangling mass both land on Root alone.
+// AfterIteration implements Algorithm: apply the personalized teleport —
+// the (1-d) restart mass and the dangling mass both land on Root alone.
 func (p *PPR) AfterIteration(iter int) bool {
-	restart := (1 - damping) + damping*p.dangling
-	delta := 0.0
-	for v := range p.rank {
-		sum := math.Float64frombits(atomic.LoadUint64(&p.next[v]))
-		for _, slab := range p.nextW {
-			sum += slab[v]
-		}
-		nv := damping * sum
-		if uint32(v) == p.Root {
-			nv += restart
-		}
-		delta += math.Abs(nv - p.rank[v])
-		p.rank[v] = nv
-	}
-	p.delta = delta
-	if p.Epsilon > 0 && delta < p.Epsilon {
-		return true
-	}
-	return iter+1 >= p.Iterations
+	return p.reduce(iter, 0, int(p.Root), (1-damping)+damping*p.dangling)
 }

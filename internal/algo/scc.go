@@ -3,6 +3,8 @@ package algo
 import (
 	"fmt"
 	"sync/atomic"
+
+	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // SCC computes strongly connected components of a directed graph with the
@@ -84,76 +86,50 @@ func (s *SCC) Labels() []uint32 { return s.scc }
 // BeforeIteration implements Algorithm.
 func (s *SCC) BeforeIteration(int) { s.changed.Store(0) }
 
-// ProcessTile implements Algorithm.
-func (s *SCC) ProcessTile(row, col uint32, data []byte) {
-	if s.phase == phaseColor {
-		s.forEach(row, col, data, s.colorEdge)
-	} else {
-		s.forEach(row, col, data, s.markEdge)
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm: same propagation, with
-// the shared changed counter batched into one atomic add per chunk.
+// ProcessTileChunk implements Algorithm: one propagation step of the
+// current phase per tuple, with the shared changed counter batched into
+// one atomic add per chunk.
 func (s *SCC) ProcessTileChunk(_ int, row, col uint32, data []byte) {
+	mark := s.phase == phaseMark
+	rb, cb := s.ctx.bases(row, col)
+	var src, dst [tile.V3BlockTuples]uint32
 	var changed int64
-	edge := s.colorEdgeQuiet
-	if s.phase == phaseMark {
-		edge = s.markEdgeQuiet
-	}
-	s.forEach(row, col, data, func(u, v uint32) {
-		if edge(u, v) {
-			changed++
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBatch(s.ctx.Codec, data, rb, cb, &src, &dst)
+		if err != nil {
+			break // the engine verified the tile; fsck reports corruption
 		}
-	})
+		for i := 0; i < n; i++ {
+			u, v := src[i], dst[i]
+			if s.assigned.Has(u) || s.assigned.Has(v) {
+				continue
+			}
+			if mark && s.markEdge(u, v) || !mark && s.colorEdge(u, v) {
+				changed++
+			}
+		}
+		data = rest
+	}
 	if changed > 0 {
 		s.changed.Add(changed)
 	}
 }
 
-func (s *SCC) forEach(row, col uint32, data []byte, fn func(src, dst uint32)) {
-	decodeLoop(s.ctx.codec(), rowBase(s.ctx, row), rowBase(s.ctx, col), data, fn)
-}
+// ProcessTile implements Algorithm: the whole tile as worker 0, not safe
+// for concurrent use.
+func (s *SCC) ProcessTile(row, col uint32, data []byte) { s.ProcessTileChunk(0, row, col, data) }
 
-func rowBase(ctx *Context, t uint32) uint32 {
-	lo, _ := ctx.Layout.VertexRange(t)
-	return lo
-}
-
-// colorEdge propagates colors forward along u -> v.
-func (s *SCC) colorEdge(u, v uint32) {
-	if s.colorEdgeQuiet(u, v) {
-		s.changed.Add(1)
-	}
-}
-
-// colorEdgeQuiet is colorEdge without the shared-counter update; it
-// reports whether the edge changed v's color so chunked callers can
-// batch the accounting.
-func (s *SCC) colorEdgeQuiet(u, v uint32) bool {
-	if s.assigned.Has(u) || s.assigned.Has(v) {
-		return false
-	}
+// colorEdge propagates colors forward along u -> v (both unassigned) and
+// reports whether v's color changed.
+func (s *SCC) colorEdge(u, v uint32) bool {
 	cu := atomic.LoadUint32(&s.color[u])
-	if cu > atomic.LoadUint32(&s.color[v]) {
-		return atomicMaxUint32(&s.color[v], cu)
-	}
-	return false
+	return cu > atomic.LoadUint32(&s.color[v]) && atomicMaxUint32(&s.color[v], cu)
 }
 
-// markEdge propagates backward reachability within a color class: if v is
-// marked and u -> v with equal colors, u joins the root's backward set.
-func (s *SCC) markEdge(u, v uint32) {
-	if s.markEdgeQuiet(u, v) {
-		s.changed.Add(1)
-	}
-}
-
-// markEdgeQuiet is markEdge with the accounting left to the caller.
-func (s *SCC) markEdgeQuiet(u, v uint32) bool {
-	if s.assigned.Has(u) || s.assigned.Has(v) {
-		return false
-	}
+// markEdge propagates backward reachability within a color class: if v
+// is marked and u -> v with equal colors (both unassigned), u joins the
+// root's backward set. It reports whether u was newly marked.
+func (s *SCC) markEdge(u, v uint32) bool {
 	if !s.marked.Has(v) || s.marked.Has(u) {
 		return false
 	}
@@ -161,19 +137,6 @@ func (s *SCC) markEdgeQuiet(u, v uint32) bool {
 		return false
 	}
 	return s.marked.Set(u)
-}
-
-// atomicMaxUint32 raises *p to v if larger; reports whether it changed.
-func atomicMaxUint32(p *uint32, v uint32) bool {
-	for {
-		old := atomic.LoadUint32(p)
-		if v <= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(p, old, v) {
-			return true
-		}
-	}
 }
 
 // AfterIteration implements Algorithm: drive the phase machine.

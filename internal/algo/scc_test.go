@@ -14,9 +14,8 @@ func sccOpts() tile.ConvertOptions {
 	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, SNB: true, Degrees: true}
 }
 
-func runSCC(t *testing.T, el *graph.EdgeList) []uint32 {
+func runSCC(t *testing.T, mg *memGraph) []uint32 {
 	t.Helper()
-	mg := load(t, el, sccOpts())
 	s := NewSCC()
 	mg.run(t, s, true, 100000)
 	return s.Labels()
@@ -35,7 +34,7 @@ func TestSCCSimpleCycle(t *testing.T) {
 	el := &graph.EdgeList{NumVertices: 4, Directed: true, Edges: []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3},
 	}}
-	labels := runSCC(t, el)
+	labels := runSCC(t, load(t, el, sccOpts()))
 	want := []uint32{0, 0, 0, 3}
 	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("labels = %v, want %v", labels, want)
@@ -49,7 +48,7 @@ func TestSCCTwoCycles(t *testing.T) {
 		{Src: 2, Dst: 3}, {Src: 3, Dst: 2},
 		{Src: 1, Dst: 2},
 	}}
-	labels := runSCC(t, el)
+	labels := runSCC(t, load(t, el, sccOpts()))
 	want := []uint32{0, 0, 2, 2}
 	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("labels = %v, want %v", labels, want)
@@ -61,7 +60,7 @@ func TestSCCDAGIsAllSingletons(t *testing.T) {
 	for v := uint32(0); v+1 < 8; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: v, Dst: v + 1})
 	}
-	labels := runSCC(t, el)
+	labels := runSCC(t, load(t, el, sccOpts()))
 	for v, l := range labels {
 		if l != uint32(v) {
 			t.Fatalf("DAG vertex %d labeled %d", v, l)
@@ -74,13 +73,15 @@ func TestSCCMatchesReferenceRMAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := runSCC(t, el)
 	want := graph.RefSCC(el)
-	for v := range labels {
-		if labels[v] != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, labels[v], want[v])
+	eachCodec(t, el, sccOpts(), func(t *testing.T, mg *memGraph) {
+		labels := runSCC(t, mg)
+		for v := range labels {
+			if labels[v] != want[v] {
+				t.Fatalf("label[%d] = %d, want %d", v, labels[v], want[v])
+			}
 		}
-	}
+	})
 }
 
 func TestRefSCCBasics(t *testing.T) {
@@ -103,36 +104,14 @@ func TestQuickSCCEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := tile.Convert(el, t.TempDir(), "q", sccOpts())
+		mg, err := quickGraph(t, el, sccOpts(), seed)
 		if err != nil {
 			return false
 		}
-		defer g.Close()
-		ctx := &Context{
-			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
-		}
-		var tiles [][]byte
-		for i := 0; i < g.Layout.NumTiles(); i++ {
-			data, err := g.ReadTile(i, nil)
-			if err != nil {
-				return false
-			}
-			tiles = append(tiles, append([]byte(nil), data...))
-		}
+		defer mg.g.Close()
 		s := NewSCC()
-		if err := s.Init(ctx); err != nil {
+		if _, _, err := mg.iterate(s, true, 1<<20); err != nil {
 			return false
-		}
-		for iter := 0; iter < 1<<20; iter++ {
-			s.BeforeIteration(iter)
-			for i, data := range tiles {
-				co := g.Layout.CoordAt(i)
-				s.ProcessTile(co.Row, co.Col, data)
-			}
-			if s.AfterIteration(iter) {
-				break
-			}
 		}
 		want := graph.RefSCC(el)
 		got := s.Labels()

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/gen"
@@ -42,6 +44,33 @@ func TestChunkedEquivalenceBFSWCC(t *testing.T) {
 			if l != uint32(wantWCC[v]) {
 				t.Fatalf("chunk=%d: label[%d] = %d, want %d", cb, v, l, wantWCC[v])
 			}
+		}
+	}
+}
+
+// Every run takes the chunked path, including algorithms wrapped by
+// embedding algo.Algorithm (as the test wrappers gated and cancelAfter
+// do) and the coalesced personal BFS, which runs msbfs: with 64-byte
+// chunks each dispatches more chunks than tiles.
+func TestWrappedAndCoalescedRunsChunked(t *testing.T) {
+	el := kron(t, 10, 8, 25)
+	g := convert(t, el, 6, 4)
+	opts := smallOpts()
+	opts.ChunkBytes = 64
+	opts.BatchWindow = time.Millisecond
+	_, s := newSched(t, g, opts)
+	ctx := context.Background()
+	wrapped, err := s.Run(ctx, &cancelAfter{Algorithm: algo.NewBFS(0), cancel: func() {}, after: math.MaxInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, coalesced, err := s.RunPersonalBFS(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Stats{"wrapped bfs": wrapped, "coalesced personal bfs": coalesced} {
+		if st.TilesProcessed == 0 || st.Chunks <= st.TilesProcessed {
+			t.Errorf("%s: Chunks = %d, want more than TilesProcessed = %d", name, st.Chunks, st.TilesProcessed)
 		}
 	}
 }

@@ -26,9 +26,9 @@ func convertCodec(t *testing.T, el *graph.EdgeList, bits uint, q uint32, codec s
 }
 
 // TestCodecsAgreeOnQueries is the codec acceptance test: the same graph
-// stored with each tuple codec must answer BFS and WCC bit-identically
-// and PageRank within 1e-9, and the v3 store must be strictly smaller
-// than both fixed-width stores.
+// stored with each tuple codec must answer every query kernel
+// bit-identically (PageRank and PPR within 1e-9), and the v3 store must
+// be strictly smaller than both fixed-width stores.
 func TestCodecsAgreeOnQueries(t *testing.T) {
 	el := kron(t, 11, 8, 5)
 	graphs := map[string]*tile.Graph{
@@ -40,33 +40,68 @@ func TestCodecsAgreeOnQueries(t *testing.T) {
 		t.Fatalf("v3 tiles (%d bytes) not smaller than snb (%d bytes)", v3, snb)
 	}
 
-	depths := map[string][]int32{}
-	labels := map[string][]uint32{}
-	ranks := map[string][]float64{}
-	for name, g := range graphs {
-		b := algo.NewBFS(0)
-		runAlg(t, g, smallOpts(), b)
-		depths[name] = b.Depths()
-		w := algo.NewWCC()
-		runAlg(t, g, smallOpts(), w)
-		labels[name] = w.Labels()
-		p := algo.NewPageRank(10)
-		runAlg(t, g, smallOpts(), p)
-		ranks[name] = p.Ranks()
+	roots := []uint32{0, 7, 99, 1000}
+	queries := []struct {
+		name string
+		tol  float64
+		run  func(g *tile.Graph) []float64 // the result, as float64
+	}{
+		{"bfs", 0, func(g *tile.Graph) []float64 {
+			b := algo.NewBFS(0)
+			runAlg(t, g, smallOpts(), b)
+			return floats(b.Depths())
+		}},
+		{"async-bfs", 0, func(g *tile.Graph) []float64 {
+			b := algo.NewAsyncBFS(0)
+			runAlg(t, g, smallOpts(), b)
+			return floats(b.Depths())
+		}},
+		{"msbfs", 0, func(g *tile.Graph) []float64 {
+			m := algo.NewMSBFS(roots)
+			runAlg(t, g, smallOpts(), m)
+			var out []float64
+			for i := range roots {
+				out = append(out, floats(m.Depth(i))...)
+			}
+			return out
+		}},
+		{"wcc", 0, func(g *tile.Graph) []float64 {
+			w := algo.NewWCC()
+			runAlg(t, g, smallOpts(), w)
+			return floats(w.Labels())
+		}},
+		{"pagerank", 1e-9, func(g *tile.Graph) []float64 {
+			p := algo.NewPageRank(10)
+			runAlg(t, g, smallOpts(), p)
+			return p.Ranks()
+		}},
+		{"ppr", 1e-9, func(g *tile.Graph) []float64 {
+			p := algo.NewPPR(5, 10)
+			runAlg(t, g, smallOpts(), p)
+			return p.Ranks()
+		}},
 	}
-	for _, name := range []string{"raw", "v3"} {
-		for v := range depths["snb"] {
-			if depths[name][v] != depths["snb"][v] {
-				t.Fatalf("%s: BFS depth[%d] = %d, snb says %d", name, v, depths[name][v], depths["snb"][v])
-			}
-			if labels[name][v] != labels["snb"][v] {
-				t.Fatalf("%s: WCC label[%d] = %d, snb says %d", name, v, labels[name][v], labels["snb"][v])
-			}
-			if d := math.Abs(ranks[name][v] - ranks["snb"][v]); d > 1e-9 {
-				t.Fatalf("%s: PageRank[%d] differs from snb by %g", name, v, d)
+	for _, q := range queries {
+		want := q.run(graphs["snb"])
+		for _, name := range []string{"raw", "v3"} {
+			got := q.run(graphs[name])
+			for v := range want {
+				if d := math.Abs(got[v] - want[v]); d > q.tol {
+					t.Fatalf("%s %s: [%d] = %v, snb says %v", name, q.name, v, got[v], want[v])
+				}
 			}
 		}
 	}
+}
+
+// floats widens an integer result vector so every query compares alike;
+// int32 and uint32 convert to float64 exactly.
+func floats[T int32 | uint32](xs []T) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
 }
 
 // TestCodecV3MutateThenQuery runs the delta-layer acceptance test on a v3
@@ -252,7 +287,7 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	live := &runState{stats: &Stats{}, ctx: context.Background(), alg: algo.NewWCC()}
 	if err := live.alg.Init(&algo.Context{
 		NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-		Half: g.Meta.Half, SNB: g.Meta.SNB, Codec: g.Meta.TupleCodec(),
+		Half: g.Meta.Half, Codec: g.Meta.TupleCodec(),
 	}); err != nil {
 		t.Fatal(err)
 	}

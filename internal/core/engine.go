@@ -90,11 +90,10 @@ type Engine struct {
 // (co-scheduled runs advance one algorithm iteration per shared sweep,
 // each counting from its own join).
 type runState struct {
-	alg     algo.Algorithm
-	chunked algo.ChunkedAlgorithm // non-nil when alg supports chunked dispatch
-	ctx     context.Context
-	stats   *Stats
-	iter    int
+	alg   algo.Algorithm
+	ctx   context.Context
+	stats *Stats
+	iter  int
 
 	// finished is set by iterate (convergence, cancellation, or a
 	// sweep-fatal error); err is the run's outcome.
@@ -149,7 +148,6 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 		Layout:      e.g.Layout,
 		Directed:    e.g.Meta.Directed,
 		Half:        e.g.Meta.Half,
-		SNB:         e.g.Meta.SNB,
 		Codec:       e.g.Meta.TupleCodec(),
 		Degrees:     degrees,
 		Workers:     e.opts.Threads,
@@ -157,14 +155,12 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 	if err := a.Init(actx); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	chunked, _ := a.(algo.ChunkedAlgorithm)
 	return &runState{
-		alg:     a,
-		chunked: chunked,
-		ctx:     ctx,
-		stats:   &Stats{Algorithm: a.Name()},
-		done:    make(chan struct{}),
-		began:   time.Now(),
+		alg:   a,
+		ctx:   ctx,
+		stats: &Stats{Algorithm: a.Name()},
+		done:  make(chan struct{}),
+		began: time.Now(),
 	}, nil
 }
 
@@ -198,17 +194,16 @@ func statEach(batch []*runState, f func(*Stats)) {
 	}
 }
 
-// workItem is one unit of compute: a whole tile, or — when the algorithm
-// supports chunked processing — one tuple-aligned chunk of a tile. The
-// algorithm travels with the item so concurrent Run teardown can never
-// leave a worker reading a stale engine-level field.
+// workItem is one unit of compute: one tuple-aligned chunk of a tile (the
+// whole tile when it fits in one chunk). The algorithm travels with the
+// item so concurrent Run teardown can never leave a worker reading a
+// stale engine-level field.
 type workItem struct {
-	alg     algo.Algorithm
-	chunked algo.ChunkedAlgorithm // non-nil selects the chunk entry point
-	row     uint32
-	col     uint32
-	data    []byte
-	done    *sync.WaitGroup
+	alg  algo.Algorithm
+	row  uint32
+	col  uint32
+	data []byte
+	done *sync.WaitGroup
 }
 
 // workerStat is one worker's cumulative accounting, padded so neighboring
@@ -359,38 +354,33 @@ func (e *Engine) Close() {
 	}
 }
 
-// worker is one compute goroutine with a stable ID; chunked kernels key
-// their private accumulator slabs off it.
+// worker is one compute goroutine with a stable ID; kernels key their
+// private accumulator slabs off it.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
 	ws := &e.workers[id]
 	for item := range e.work {
 		begin := time.Now()
-		if item.chunked != nil {
-			item.chunked.ProcessTileChunk(id, item.row, item.col, item.data)
-		} else {
-			item.alg.ProcessTile(item.row, item.col, item.data)
-		}
+		item.alg.ProcessTileChunk(id, item.row, item.col, item.data)
 		ws.busyNS.Add(int64(time.Since(begin)))
 		ws.chunks.Add(1)
 		item.done.Done()
 	}
 }
 
-// dispatch enqueues tile data as work items: one per tile on the legacy
-// path, one per chunkBytes-sized chunk when the algorithm implements
-// ChunkedAlgorithm — the load-balancing move that keeps all workers busy
-// on a segment dominated by one dense tile. Returns the items enqueued.
-func (e *Engine) dispatch(alg algo.Algorithm, chunked algo.ChunkedAlgorithm, ref mem.TileRef, done *sync.WaitGroup) int64 {
-	if chunked == nil || e.chunkBytes <= 0 || int64(len(ref.Data)) <= e.chunkBytes {
+// dispatch enqueues tile data as work items, one per chunkBytes-sized
+// chunk — the load-balancing move that keeps all workers busy on a
+// segment dominated by one dense tile. Returns the items enqueued.
+func (e *Engine) dispatch(alg algo.Algorithm, ref mem.TileRef, done *sync.WaitGroup) int64 {
+	if e.chunkBytes <= 0 || int64(len(ref.Data)) <= e.chunkBytes {
 		done.Add(1)
-		e.work <- workItem{alg: alg, chunked: chunked, row: ref.Row, col: ref.Col, data: ref.Data, done: done}
+		e.work <- workItem{alg: alg, row: ref.Row, col: ref.Col, data: ref.Data, done: done}
 		return 1
 	}
 	views := ref.Chunks(e.chunkBytes)
 	done.Add(len(views))
 	for _, v := range views {
-		e.work <- workItem{alg: alg, chunked: chunked, row: ref.Row, col: ref.Col, data: v, done: done}
+		e.work <- workItem{alg: alg, row: ref.Row, col: ref.Col, data: v, done: done}
 	}
 	return int64(len(views))
 }
@@ -439,7 +429,7 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		if mask&(1<<uint(j)) == 0 || r.finished {
 			continue
 		}
-		r.stats.Chunks += e.dispatch(r.alg, r.chunked, ref, done)
+		r.stats.Chunks += e.dispatch(r.alg, ref, done)
 		r.stats.TilesProcessed++
 		if deltaTile {
 			r.stats.DeltaTiles++

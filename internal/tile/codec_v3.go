@@ -142,65 +142,67 @@ func AppendV3(dst []byte, keys []uint32, bits uint) []byte {
 	return dst
 }
 
-// DecodeV3 iterates over the tuples of one v3-encoded tile (or any whole
-// number of its blocks, as produced by SplitV3), adding rowBase/colBase
-// to the decoded offsets. It validates the block structure as it goes and
-// returns a descriptive error on any framing or varint corruption.
-func DecodeV3(data []byte, rowBase, colBase uint32, fn func(src, dst uint32)) error {
-	block := 0
-	for len(data) > 0 {
-		payload, rest, err := v3Frame(data, block)
-		if err != nil {
-			return err
-		}
-		count, n := binary.Uvarint(payload)
-		if n <= 0 || count == 0 || count > V3BlockTuples {
-			return fmt.Errorf("tile: v3 block %d has bad tuple count %d", block, count)
-		}
-		payload = payload[n:]
-		prevSrc, prevDst := uint32(0), uint32(0)
-		for i := uint64(0); i < count; i++ {
-			srcDelta, n := binary.Uvarint(payload)
-			if n <= 0 || srcDelta > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d has corrupt source delta", block, i)
-			}
-			payload = payload[n:]
-			dstField, n := binary.Uvarint(payload)
-			if n <= 0 || dstField > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d has corrupt destination field", block, i)
-			}
-			payload = payload[n:]
-			src := prevSrc + uint32(srcDelta)
-			dst := uint32(dstField)
-			if i > 0 && srcDelta == 0 {
-				dst += prevDst
-			}
-			if dst > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d destination offset out of range", block, i)
-			}
-			fn(rowBase+src, colBase+dst)
-			prevSrc, prevDst = src, dst
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("tile: v3 block %d has %d trailing bytes after %d tuples",
-				block, len(payload), count)
-		}
-		data = rest
-		block++
+// decodeV3Block decodes the leading block of data into src/dst, adding
+// rowBase/colBase to the decoded offsets. It validates the block as it
+// goes and returns a descriptive error on any framing or varint
+// corruption.
+func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (int, []byte, error) {
+	payload, rest, err := v3Frame(data)
+	if err != nil {
+		return 0, nil, err
 	}
-	return nil
+	count, k := binary.Uvarint(payload)
+	if k <= 0 || count == 0 || count > V3BlockTuples {
+		return 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
+	}
+	payload = payload[k:]
+	n := int(count)
+	prevSrc, prevDst := uint32(0), uint32(0)
+	for i := 0; i < n; i++ {
+		var srcDelta, dstField uint64
+		if len(payload) >= 2 && payload[0] < 0x80 && payload[1] < 0x80 {
+			// Both fields fit one byte, the common case inside a run.
+			srcDelta, dstField = uint64(payload[0]), uint64(payload[1])
+			payload = payload[2:]
+		} else {
+			var k int
+			srcDelta, k = binary.Uvarint(payload)
+			if k <= 0 || srcDelta > v3MaxField {
+				return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt source delta", i)
+			}
+			payload = payload[k:]
+			dstField, k = binary.Uvarint(payload)
+			if k <= 0 || dstField > v3MaxField {
+				return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt destination field", i)
+			}
+			payload = payload[k:]
+		}
+		s := prevSrc + uint32(srcDelta)
+		d := uint32(dstField)
+		if i > 0 && srcDelta == 0 {
+			d += prevDst
+		}
+		if d > v3MaxField {
+			return 0, nil, fmt.Errorf("tile: v3 block tuple %d destination offset out of range", i)
+		}
+		src[i], dst[i] = rowBase+s, colBase+d
+		prevSrc, prevDst = s, d
+	}
+	if len(payload) != 0 {
+		return 0, nil, fmt.Errorf("tile: v3 block has %d trailing bytes after %d tuples", len(payload), n)
+	}
+	return n, rest, nil
 }
 
 // v3Frame splits the leading block off data: the uvarint length prefix
 // and the payload it frames.
-func v3Frame(data []byte, block int) (payload, rest []byte, err error) {
+func v3Frame(data []byte) (payload, rest []byte, err error) {
 	size, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("tile: v3 block %d has a corrupt length prefix", block)
+		return nil, nil, fmt.Errorf("tile: v3 block has a corrupt length prefix")
 	}
 	if size == 0 || size > uint64(len(data)-n) {
-		return nil, nil, fmt.Errorf("tile: v3 block %d claims %d payload bytes, %d remain",
-			block, size, len(data)-n)
+		return nil, nil, fmt.Errorf("tile: v3 block claims %d payload bytes, %d remain", size, len(data)-n)
 	}
 	return data[n : n+int(size)], data[n+int(size):], nil
 }
@@ -209,12 +211,12 @@ func v3Frame(data []byte, block int) (payload, rest []byte, err error) {
 // tuple payloads: every length prefix must parse, stay in bounds, and the
 // frames must cover data exactly. The engine runs this on the hot read
 // path after the CRC check (cheap — a handful of varint reads per block);
-// full payload validation is done by DecodeV3, fsck and Verify.
+// full payload validation is done by DecodeTuples, fsck and Verify.
 func ValidateV3Frames(data []byte) error {
 	for block := 0; len(data) > 0; block++ {
-		payload, rest, err := v3Frame(data, block)
+		payload, rest, err := v3Frame(data)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w (block %d)", err, block)
 		}
 		count, n := binary.Uvarint(payload)
 		if n <= 0 || count == 0 || count > V3BlockTuples {
@@ -240,8 +242,8 @@ func SplitV3(data []byte, chunkBytes int64) [][]byte {
 	}
 	var out [][]byte
 	viewStart, pos := 0, 0
-	for block := 0; pos < len(data); block++ {
-		_, rest, err := v3Frame(data[pos:], block)
+	for pos < len(data) {
+		_, rest, err := v3Frame(data[pos:])
 		if err != nil {
 			return nil
 		}

@@ -222,7 +222,7 @@ func TestSplitV3Boundaries(t *testing.T) {
 	}
 	data := AppendV3(nil, keys, 12)
 	var whole []uint64
-	if err := DecodeV3(data, 0, 0, func(s, d uint32) {
+	if err := DecodeTuples(data, CodecV3, 0, 0, func(s, d uint32) {
 		whole = append(whole, uint64(s)<<32|uint64(d))
 	}); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestSplitV3Boundaries(t *testing.T) {
 			if chunk >= 64 && int64(len(v)) > chunk && len(views) > 1 {
 				// A view only exceeds chunkBytes when a single block does.
 				if err := func() error {
-					_, rest, err := v3Frame(v, 0)
+					_, rest, err := v3Frame(v)
 					if err == nil && len(rest) != 0 {
 						t.Fatalf("oversized view holds %d trailing bytes beyond one block", len(rest))
 					}
@@ -245,7 +245,7 @@ func TestSplitV3Boundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := DecodeV3(v, 0, 0, func(s, d uint32) {
+			if err := DecodeTuples(v, CodecV3, 0, 0, func(s, d uint32) {
 				got = append(got, uint64(s)<<32|uint64(d))
 			}); err != nil {
 				t.Fatal(err)

@@ -35,31 +35,62 @@ func GetRaw(buf []byte) (src, dst uint32) {
 	return binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])
 }
 
-// DecodeTuples iterates over the tuples of one tile's data in codec c.
-// rowBase and colBase are the first vertex IDs of the tile's row and
-// column ranges (ignored for raw tuples, which carry full IDs). It
+// DecodeBatch decodes the leading batch of data's tuples in codec c into
+// the caller's src/dst arrays and returns the tuple count n and the
+// undecoded remainder: one whole v3 block, or up to V3BlockTuples
+// fixed-width tuples. rowBase and colBase are the first vertex IDs of
+// the tile's row and column ranges (ignored for raw tuples, which carry
+// full IDs). Kernels keep src/dst on their stack and loop over decoded
+// pairs, so the codec switch runs once per batch, not per edge. It
 // returns an error if data is not a whole number of tuples (fixed-width
-// codecs) or its block structure is corrupt (v3).
-func DecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src, dst uint32)) error {
+// codecs) or the block is corrupt (v3).
+func DecodeBatch(c Codec, data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (n int, rest []byte, err error) {
 	switch c {
+	case CodecV3:
+		return decodeV3Block(data, rowBase, colBase, src, dst)
 	case CodecSNB:
 		if len(data)%SNBTupleBytes != 0 {
-			return fmt.Errorf("tile: %d bytes is not a whole number of SNB tuples", len(data))
+			return 0, nil, fmt.Errorf("tile: %d bytes is not a whole number of SNB tuples", len(data))
 		}
-		for i := 0; i < len(data); i += SNBTupleBytes {
-			s, d := GetSNB(data[i:])
-			fn(rowBase+uint32(s), colBase+uint32(d))
+		n = min(len(data)/SNBTupleBytes, V3BlockTuples)
+		s, d := src[:n], dst[:n]
+		for i := range s {
+			// One 32-bit load: src offset in the low half, dst in the high.
+			t := binary.LittleEndian.Uint32(data[i*SNBTupleBytes:])
+			s[i], d[i] = rowBase+t&0xffff, colBase+t>>16
 		}
-		return nil
-	case CodecV3:
-		return DecodeV3(data, rowBase, colBase, fn)
+		return n, data[n*SNBTupleBytes:], nil
 	}
 	if len(data)%RawTupleBytes != 0 {
-		return fmt.Errorf("tile: %d bytes is not a whole number of raw tuples", len(data))
+		return 0, nil, fmt.Errorf("tile: %d bytes is not a whole number of raw tuples", len(data))
 	}
-	for i := 0; i < len(data); i += RawTupleBytes {
-		s, d := GetRaw(data[i:])
-		fn(s, d)
+	n = min(len(data)/RawTupleBytes, V3BlockTuples)
+	s, d := src[:n], dst[:n]
+	for i := range s {
+		t := binary.LittleEndian.Uint64(data[i*RawTupleBytes:])
+		s[i], d[i] = uint32(t), uint32(t>>32)
+	}
+	return n, data[n*RawTupleBytes:], nil
+}
+
+// DecodeTuples iterates over the tuples of one tile's data (or any whole
+// number of its tuples or v3 blocks) in codec c, batch by batch through
+// DecodeBatch. It returns DecodeBatch's error, with the failing block's
+// index for v3.
+func DecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src, dst uint32)) error {
+	var src, dst [V3BlockTuples]uint32
+	for block := 0; len(data) > 0; block++ {
+		n, rest, err := DecodeBatch(c, data, rowBase, colBase, &src, &dst)
+		if err != nil {
+			if c == CodecV3 {
+				err = fmt.Errorf("%w (block %d)", err, block)
+			}
+			return err
+		}
+		for i := 0; i < n; i++ {
+			fn(src[i], dst[i])
+		}
+		data = rest
 	}
 	return nil
 }

@@ -151,7 +151,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 			t.Fatalf("encoder produced invalid framing: %v", err)
 		}
 		var got []uint32
-		if err := DecodeV3(data, 0, 0, func(s, d uint32) {
+		if err := DecodeTuples(data, CodecV3, 0, 0, func(s, d uint32) {
 			got = append(got, V3Key(s, d, uint(bits)))
 		}); err != nil {
 			t.Fatalf("round trip decode: %v", err)
@@ -192,7 +192,7 @@ func FuzzV3Corrupt(f *testing.F) {
 		}
 		mut := append([]byte(nil), data...)
 		mut[((pos%len(mut))+len(mut))%len(mut)] ^= xor
-		_ = DecodeV3(mut, 0, 0, func(s, d uint32) {})
+		_ = DecodeTuples(mut, CodecV3, 0, 0, func(s, d uint32) {})
 		_ = ValidateV3Frames(mut)
 		_ = SplitV3(mut, 8)
 	})
