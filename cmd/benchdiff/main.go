@@ -1,26 +1,28 @@
-// Command benchdiff compares a benchmark JSON report against a committed
-// baseline. It walks every field of the baseline and reports the current
-// value next to it, with a percent delta for numbers.
+// Command benchdiff compares a gsbench -benchout file against a committed
+// baseline. Both files hold a JSON array of exp.Report; reports match by
+// experiment name and phases by phase name.
 //
-// The exit status is about report *shape*, not performance: a missing
-// current file or a field present in the baseline but absent from the
-// current report fails the run (a benchmark silently dropping a metric is
-// a regression CI must catch), while numeric drift only prints — CI
-// runners are too noisy for timing thresholds, and the deterministic
-// fields (byte counts, ratios) are guarded by tests instead.
+// The run fails when the current file lacks an experiment, phase or key
+// the baseline has, or when any counter differs: counters (bytes read,
+// requests, tile bytes, mutation counts) are deterministic for a given
+// configuration and seed, so a changed value is a behaviour change. The
+// measured values (timings, rates, ratios) only print their drift — CI
+// runners are too noisy for timing thresholds.
 //
 // Usage:
 //
-//	benchdiff -baseline bench/BENCH_codec_quick.json -current BENCH_pr7.json
+//	benchdiff -baseline bench/BENCH_quick.json -current BENCH.json
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"sort"
+
+	"github.com/gwu-systems/gstore/internal/exp"
 )
 
 func main() {
@@ -43,135 +45,102 @@ func main() {
 	}
 
 	fmt.Printf("benchdiff %s -> %s\n", *baseline, *current)
-	fmt.Printf("%-45s  %15s  %15s  %9s\n", "field", "baseline", "current", "delta")
-	missing := diff("", base, cur)
-	if len(missing) > 0 {
-		for _, m := range missing {
-			fmt.Fprintf(os.Stderr, "benchdiff: field %q missing from current report\n", m)
+	if fails := compare(os.Stdout, base, cur); len(fails) > 0 {
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "benchdiff: %s\n", f)
 		}
 		os.Exit(1)
 	}
 }
 
-func load(path string) (map[string]interface{}, error) {
+func load(path string) ([]exp.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var m map[string]interface{}
-	if err := json.Unmarshal(data, &m); err != nil {
+	var reps []exp.Report
+	if err := json.Unmarshal(data, &reps); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	return reps, nil
 }
 
-// diff prints one line per baseline leaf field and returns the paths of
-// fields the current report lacks.
-func diff(prefix string, base, cur map[string]interface{}) []string {
-	var missing []string
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		path := k
-		if prefix != "" {
-			path = prefix + "." + k
-		}
-		bv := base[k]
-		cv, ok := cur[k]
+// compare prints one line per baseline counter and measured value with
+// its current value, and returns every gate failure: a missing
+// experiment, phase or key, or a counter that differs.
+func compare(w io.Writer, base, cur []exp.Report) []string {
+	var fails []string
+	fmt.Fprintf(w, "%-55s  %15s  %15s  %9s\n", "experiment/phase.key", "baseline", "current", "delta")
+	for _, b := range base {
+		c, ok := find(cur, func(r exp.Report) string { return r.Experiment }, b.Experiment)
 		if !ok {
-			missing = append(missing, path)
+			fails = append(fails, fmt.Sprintf("experiment %q missing from current report", b.Experiment))
 			continue
 		}
-		if bm, isMap := bv.(map[string]interface{}); isMap {
-			cm, curIsMap := cv.(map[string]interface{})
-			if !curIsMap {
-				missing = append(missing, path)
-				continue
-			}
-			missing = append(missing, diff(path, bm, cm)...)
+		if c.Scale != b.Scale || c.Seed != b.Seed {
+			fails = append(fails, fmt.Sprintf("%s: current ran at scale %d seed %d, baseline at scale %d seed %d",
+				b.Experiment, c.Scale, c.Seed, b.Scale, b.Seed))
 			continue
 		}
-		if ba, isArr := bv.([]interface{}); isArr {
-			ca, curIsArr := cv.([]interface{})
-			if !curIsArr {
-				missing = append(missing, path)
-				continue
-			}
-			missing = append(missing, diffArray(path, ba, ca)...)
-			continue
-		}
-		fmt.Printf("%-45s  %15s  %15s  %9s\n", path, render(bv), render(cv), delta(bv, cv))
-	}
-	return missing
-}
-
-// diffArray walks baseline array elements by index. A shorter current
-// array counts the tail as missing; extra current elements only print.
-// Scalar elements diff like leaf fields; object elements recurse.
-func diffArray(prefix string, base, cur []interface{}) []string {
-	var missing []string
-	for i, bv := range base {
-		path := fmt.Sprintf("%s[%d]", prefix, i)
-		if i >= len(cur) {
-			missing = append(missing, path)
-			continue
-		}
-		cv := cur[i]
-		switch bx := bv.(type) {
-		case map[string]interface{}:
-			cm, ok := cv.(map[string]interface{})
+		for _, bp := range b.Phases {
+			where := b.Experiment + "/" + bp.Name
+			cp, ok := find(c.Phases, func(p exp.Phase) string { return p.Name }, bp.Name)
 			if !ok {
-				missing = append(missing, path)
+				fails = append(fails, fmt.Sprintf("phase %q missing from current report", where))
 				continue
 			}
-			missing = append(missing, diff(path, bx, cm)...)
-		case []interface{}:
-			ca, ok := cv.([]interface{})
-			if !ok {
-				missing = append(missing, path)
-				continue
+			for _, k := range sortedKeys(bp.Counters) {
+				bv, path := bp.Counters[k], where+"."+k
+				cv, ok := cp.Counters[k]
+				switch {
+				case !ok:
+					fails = append(fails, fmt.Sprintf("counter %q missing from current report", path))
+				case cv != bv:
+					fails = append(fails, fmt.Sprintf("counter %q is %d, baseline %d", path, cv, bv))
+					fmt.Fprintf(w, "%-55s  %15d  %15d  %9s\n", path, bv, cv, "DIFFERS")
+				default:
+					fmt.Fprintf(w, "%-55s  %15d  %15d  %9s\n", path, bv, cv, "same")
+				}
 			}
-			missing = append(missing, diffArray(path, bx, ca)...)
-		default:
-			fmt.Printf("%-45s  %15s  %15s  %9s\n", path, render(bv), render(cv), delta(bv, cv))
+			for _, k := range sortedKeys(bp.Measured) {
+				bv, path := bp.Measured[k], where+"."+k
+				cv, ok := cp.Measured[k]
+				if !ok {
+					fails = append(fails, fmt.Sprintf("measured value %q missing from current report", path))
+					continue
+				}
+				fmt.Fprintf(w, "%-55s  %15.4g  %15.4g  %9s\n", path, bv, cv, drift(bv, cv))
+			}
 		}
 	}
-	for i := len(base); i < len(cur); i++ {
-		fmt.Printf("%-45s  %15s  %15s  %9s\n",
-			fmt.Sprintf("%s[%d]", prefix, i), "-", render(cur[i]), "new")
-	}
-	return missing
+	return fails
 }
 
-func render(v interface{}) string {
-	switch x := v.(type) {
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			return fmt.Sprintf("%d", int64(x))
+func find[T any](items []T, name func(T) string, want string) (T, bool) {
+	for _, it := range items {
+		if name(it) == want {
+			return it, true
 		}
-		return fmt.Sprintf("%.4g", x)
-	default:
-		return fmt.Sprintf("%v", x)
 	}
+	var zero T
+	return zero, false
 }
 
-func delta(b, c interface{}) string {
-	bf, bok := b.(float64)
-	cf, cok := c.(float64)
-	if !bok || !cok {
-		if b == c {
-			return "same"
-		}
-		return "changed"
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	if bf == 0 {
-		if cf == 0 {
+	sort.Strings(out)
+	return out
+}
+
+func drift(b, c float64) string {
+	if b == 0 {
+		if c == 0 {
 			return "+0.0%"
 		}
 		return "n/a"
 	}
-	return fmt.Sprintf("%+.1f%%", (cf-bf)/bf*100)
+	return fmt.Sprintf("%+.1f%%", (c-b)/b*100)
 }

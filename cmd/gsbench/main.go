@@ -7,9 +7,16 @@
 //	gsbench -list
 //	gsbench -run all [-scale 18] [-edgefactor 16] [-workdir DIR]
 //	gsbench -run fig9,fig10 -quick
-//	gsbench -clients 8 -duration 10s [-benchout BENCH.json]
+//	gsbench -run serve,serve-personal,ingest,codec,io -quick -benchout BENCH.json
+//	gsbench -clients 8 -duration 10s
 //	gsbench -clients 8 -target http://localhost:8080
 //	gsbench -run chaos [-seed N] [-benchout CHAOS.json]
+//
+// The benchmark experiments (serve, serve-personal, ingest, codec, io,
+// chaos) each print one metric × phase table. With -benchout, gsbench
+// writes all of their reports as one JSON array after the last
+// experiment (also when one fails); cmd/benchdiff compares two such
+// files.
 //
 // The -clients mode is the closed-loop serving benchmark: N concurrent
 // clients fire mixed BFS/PageRank queries at one graph for -duration and
@@ -19,7 +26,7 @@
 //
 // The serve-personal experiment benchmarks the personalized-query path:
 // a Zipf mix of single-root BFS queries served one-root-per-slot vs
-// fused into multi-source runs (-batch-window) with the result cache on.
+// fused into multi-source runs (2 ms window) with the result cache on.
 //
 // The chaos experiment is a correctness harness, not a benchmark: seeded
 // schedules of ingest, flushes, injected write faults, and simulated
@@ -29,6 +36,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,8 +61,7 @@ func main() {
 		clients    = flag.Int("clients", 0, "closed-loop client count for the serving benchmark")
 		duration   = flag.Duration("duration", 0, "serving benchmark phase duration (default 5s, quick 2s)")
 		target     = flag.String("target", "", "base URL of a running gstored to benchmark (default: in-process server)")
-		benchOut   = flag.String("benchout", "", "file for the serving benchmark's JSON report")
-		batchWin   = flag.Duration("batch-window", 0, "coalescing window of the serve-personal fused phase (default 2ms)")
+		benchOut   = flag.String("benchout", "", "file receiving every benchmark report of the run as one JSON array")
 	)
 	flag.Parse()
 
@@ -102,8 +109,6 @@ func main() {
 	cfg.BenchClients = *clients
 	cfg.BenchDuration = *duration
 	cfg.Target = *target
-	cfg.BenchOut = *benchOut
-	cfg.BatchWindow = *batchWin
 	cfg.Defaults()
 
 	var ids []string
@@ -115,18 +120,45 @@ func main() {
 		ids = strings.Split(*run, ",")
 	}
 
+	var runners []exp.Runner
 	for _, id := range ids {
 		r, ok := exp.Find(strings.TrimSpace(id))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "gsbench: unknown experiment %q (use -list)\n", id)
 			os.Exit(2)
 		}
+		runners = append(runners, r)
+	}
+	status := 0
+	for _, r := range runners {
 		fmt.Printf("-- %s: %s\n", r.ID, r.Title)
 		begin := time.Now()
 		if err := r.Run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "gsbench: %s failed: %v\n", r.ID, err)
-			os.Exit(1)
+			status = 1
+			break
 		}
 		fmt.Printf("-- %s done in %v\n\n", r.ID, time.Since(begin).Round(time.Millisecond))
 	}
+	if *benchOut != "" {
+		if err := writeReports(*benchOut, cfg.Reports()); err != nil {
+			fmt.Fprintf(os.Stderr, "gsbench: writing -benchout: %v\n", err)
+			status = 1
+		} else {
+			fmt.Printf("wrote %d reports to %s\n", len(cfg.Reports()), *benchOut)
+		}
+	}
+	os.Exit(status)
+}
+
+// writeReports writes reps to path as one indented JSON array.
+func writeReports(path string, reps []exp.Report) error {
+	if reps == nil {
+		reps = []exp.Report{}
+	}
+	blob, err := json.MarshalIndent(reps, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }

@@ -21,40 +21,10 @@ import (
 	"github.com/gwu-systems/gstore/internal/faultfs"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/server"
 	"github.com/gwu-systems/gstore/internal/tile"
 	"github.com/gwu-systems/gstore/internal/wal"
 )
-
-// chaosReport is the CHAOS artifact: a whole-system crash/chaos torture
-// run over the write path. Each seeded schedule interleaves ingest
-// batches, snapshot flushes, and injected faults (transient write
-// errors, fsync failures, ENOSPC, simulated crashes at the named crash
-// points), then restarts from the on-disk state and verifies the
-// recovery invariant: every acked mutation present exactly, unacked
-// batches absent or whole, fsck clean, no temp litter, and query
-// results bit-identical (PageRank within 1e-9) to a fresh conversion of
-// the reference edge set. Findings must be empty.
-type chaosReport struct {
-	Schedules       int      `json:"schedules"`
-	Scale           uint     `json:"scale"`
-	Seed            uint64   `json:"seed"`
-	Batches         int64    `json:"batches"`
-	AckedBatches    int64    `json:"acked_batches"`
-	Mutations       int64    `json:"acked_mutations"`
-	Flushes         int64    `json:"flushes"`
-	Crashes         int      `json:"crashes"`
-	FsyncFailures   int      `json:"fsync_failures"`
-	TransientFaults int      `json:"transient_faults"`
-	NoSpaceFaults   int      `json:"enospc_faults"`
-	WholeUnacked    int      `json:"whole_unacked_batches"`
-	Recoveries      int      `json:"recoveries"`
-	QueriesCompared int      `json:"queries_compared"`
-	ServerScenarios int      `json:"server_scenarios"`
-	Findings        []string `json:"findings"`
-	Sec             float64  `json:"seconds"`
-}
 
 // chaosPoints are the named crash points the schedule generator arms.
 // tile.convert.before-meta is exercised separately (conversion happens
@@ -71,38 +41,43 @@ var chaosPoints = []string{
 }
 
 // Chaos runs the torture harness: Quick runs a CI-sized sample, the
-// full run covers ChaosSchedules seeded schedules. A non-empty findings
-// list is an error — every finding is a broken durability promise.
+// full run covers 200 seeded schedules. Each schedule interleaves ingest
+// batches, snapshot flushes, and injected faults (transient write
+// errors, fsync failures, ENOSPC, simulated crashes at the named crash
+// points), then restarts from the on-disk state and verifies the
+// recovery invariant: every acked mutation present exactly, unacked
+// batches absent or whole, fsck clean, no temp litter, and query
+// results bit-identical (PageRank within 1e-9) to a fresh conversion of
+// the reference edge set. Any finding is an error — every finding is a
+// broken durability promise.
 func Chaos(c *Config) error {
 	schedules := 200
 	if c.Quick {
 		schedules = 25
 	}
-	rep, err := chaosRun(c, schedules)
+	rep, findings, err := chaosRun(c, schedules)
 	if err != nil {
 		return err
 	}
-	printChaosReport(c.Out, rep)
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	c.emit(rep)
+	for i, f := range findings {
+		if i == 10 {
+			fmt.Fprintf(c.Out, "  ... %d more findings\n", len(findings)-10)
+			break
 		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
+		fmt.Fprintf(c.Out, "  FINDING: %s\n", f)
 	}
-	if len(rep.Findings) > 0 {
-		return fmt.Errorf("chaos: %d invariant violations (first: %s)", len(rep.Findings), rep.Findings[0])
+	if len(findings) > 0 {
+		return fmt.Errorf("chaos: %d invariant violations (first: %s)", len(findings), findings[0])
 	}
 	return nil
 }
 
 // chaosRun executes the given number of seeded schedules and the
-// server-level degraded-mode scenario. It is also the entry point of
-// the TestChaosShort CI gate.
-func chaosRun(c *Config, schedules int) (*chaosReport, error) {
+// server-level degraded-mode scenario, counting what they exercised in
+// one phase and returning every invariant violation. It is also the
+// entry point of the TestChaosShort CI gate.
+func chaosRun(c *Config, schedules int) (Report, []string, error) {
 	begin := time.Now()
 	// Correctness harness: small graphs keep hundreds of schedules (each
 	// with its own recovery and fresh reference conversion) fast, while
@@ -115,26 +90,33 @@ func chaosRun(c *Config, schedules int) (*chaosReport, error) {
 	if ef > 8 {
 		ef = 8
 	}
-	rep := &chaosReport{Schedules: schedules, Scale: scale, Seed: c.Seed}
+	p := newPhase("schedules")
+	n := p.Counters
+	for _, k := range []string{"batches", "acked_batches", "acked_mutations", "flushes",
+		"crashes", "fsync_failures", "transient_faults", "enospc_faults",
+		"whole_unacked_batches", "recoveries", "queries_compared", "server_scenarios"} {
+		n[k] = 0
+	}
+	n["schedules"] = int64(schedules)
 
 	dir, err := tempWorkDir(c, "chaos")
 	if err != nil {
-		return nil, err
+		return Report{}, nil, err
 	}
 	defer os.RemoveAll(dir)
 
 	el, err := gen.Generate(gen.Graph500Config(scale, ef, c.Seed))
 	if err != nil {
-		return nil, err
+		return Report{}, nil, err
 	}
 	topts := tile.ConvertOptions{TileBits: scale - 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
 	pristine := filepath.Join(dir, "pristine")
 	if err := os.MkdirAll(pristine, 0o755); err != nil {
-		return nil, err
+		return Report{}, nil, err
 	}
 	pg, err := tile.Convert(el, pristine, "chaos", topts)
 	if err != nil {
-		return nil, err
+		return Report{}, nil, err
 	}
 	pg.Close()
 
@@ -145,14 +127,18 @@ func chaosRun(c *Config, schedules int) (*chaosReport, error) {
 		baseCanon[i] = e.Canon()
 	}
 
+	var findings []string
 	for i := 0; i < schedules; i++ {
-		runChaosSchedule(c, rep, dir, pristine, topts, el.NumVertices, baseCanon, i)
+		findings = append(findings, runChaosSchedule(c, n, dir, pristine, topts, el.NumVertices, baseCanon, i)...)
 	}
-	if err := chaosServerScenario(c, rep, dir, el, topts); err != nil {
-		return nil, err
+	sf, err := chaosServerScenario(c, n, dir, el, topts)
+	if err != nil {
+		return Report{}, nil, err
 	}
-	rep.Sec = time.Since(begin).Seconds()
-	return rep, nil
+	findings = append(findings, sf...)
+	n["invariant_violations"] = int64(len(findings))
+	p.Measured["seconds"] = time.Since(begin).Seconds()
+	return Report{Experiment: "chaos", Scale: scale, Seed: c.Seed, Phases: []Phase{p}}, findings, nil
 }
 
 // splitmix64 advances the schedule generator's state.
@@ -165,23 +151,23 @@ func splitmix64(x *uint64) uint64 {
 }
 
 const (
-	chaosClean = iota // full run, clean Close, reopen
-	chaosCrash        // simulated crash at a named crash point
-	chaosFsync        // injected fsync failure: sticky degraded mode
-	chaosWrite        // transient write error: rollback, retry succeeds
-	chaosNoSpace      // ENOSPC after a byte budget, then space freed
-	chaosAbandon      // process killed with no fault: pure WAL replay
+	chaosClean   = iota // full run, clean Close, reopen
+	chaosCrash          // simulated crash at a named crash point
+	chaosFsync          // injected fsync failure: sticky degraded mode
+	chaosWrite          // transient write error: rollback, retry succeeds
+	chaosNoSpace        // ENOSPC after a byte budget, then space freed
+	chaosAbandon        // process killed with no fault: pure WAL replay
 	chaosScenarios
 )
 
-// runChaosSchedule plays one seeded schedule and appends any invariant
-// violation to rep.Findings.
-func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts tile.ConvertOptions, nv uint32, baseCanon []graph.Edge, idx int) {
+// runChaosSchedule plays one seeded schedule, counting what it
+// exercised in n, and returns its invariant violations.
+func runChaosSchedule(c *Config, n map[string]int64, dir, pristine string, topts tile.ConvertOptions, nv uint32, baseCanon []graph.Edge, idx int) (findings []string) {
 	state := c.Seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15
 	rng := func(n uint64) uint64 { return splitmix64(&state) % n }
 	label := fmt.Sprintf("schedule %d", idx)
 	fail := func(format string, args ...interface{}) {
-		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: ", label)+fmt.Sprintf(format, args...))
+		findings = append(findings, fmt.Sprintf("%s: ", label)+fmt.Sprintf(format, args...))
 	}
 
 	sdir := filepath.Join(dir, fmt.Sprintf("s%04d", idx))
@@ -249,12 +235,12 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	nBatches := int(3 + rng(5))
 	for b := 0; b < nBatches && !dead; b++ {
 		ops := newBatch()
-		rep.Batches++
+		n["batches"]++
 		_, err := ds.Apply(ops)
 		if err != nil {
 			switch scenario {
 			case chaosCrash:
-				rep.Crashes++
+				n["crashes"]++
 				inflight = ops
 				dead = true
 				continue
@@ -265,19 +251,19 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 				if _, err2 := ds.Apply(ops); !errors.Is(err2, wal.ErrFailed) {
 					fail("poisoned store accepted a retry: %v", err2)
 				}
-				rep.FsyncFailures++
+				n["fsync_failures"]++
 				inflight = ops
 				dead = true
 				continue
 			case chaosWrite:
-				rep.TransientFaults++
+				n["transient_faults"]++
 				if errors.Is(err, wal.ErrFailed) {
 					fail("transient write error poisoned the WAL: %v", err)
 					dead = true
 					continue
 				}
 			case chaosNoSpace:
-				rep.NoSpaceFaults++
+				n["enospc_faults"]++
 				if !errors.Is(err, faultfs.ErrNoSpace) {
 					fail("budget scenario failed with %v, want ENOSPC", err)
 				}
@@ -296,8 +282,8 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 			}
 		}
 		acked++
-		rep.AckedBatches++
-		rep.Mutations += int64(len(ops))
+		n["acked_batches"]++
+		n["acked_mutations"] += int64(len(ops))
 		fold(ops)
 		for _, op := range ops {
 			if !op.Del {
@@ -308,13 +294,13 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 			if err := ds.Flush(); err != nil {
 				switch {
 				case scenario == chaosCrash:
-					rep.Crashes++
+					n["crashes"]++
 					dead = true
 				case scenario == chaosFsync:
-					rep.FsyncFailures++
+					n["fsync_failures"]++
 					dead = true
 				case scenario == chaosNoSpace && errors.Is(err, faultfs.ErrNoSpace):
-					rep.NoSpaceFaults++
+					n["enospc_faults"]++
 					fs.SetWriteBudget(-1)
 					if err := ds.Flush(); err != nil {
 						fail("flush retry after freed space: %v", err)
@@ -325,7 +311,7 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 					dead = true
 				}
 			} else {
-				rep.Flushes++
+				n["flushes"]++
 			}
 		}
 	}
@@ -340,7 +326,7 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 		}
 		if err := ds.Close(); err != nil {
 			if scenario == chaosCrash && fs.Crashed() {
-				rep.Crashes++ // the armed point fired inside Close's flush
+				n["crashes"]++ // the armed point fired inside Close's flush
 			} else if scenario != chaosFsync {
 				fail("clean close: %v", err)
 			}
@@ -353,9 +339,9 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	tg.Close()
 
 	// ---- restart: recover from the on-disk state and verify ----
-	rep.Recoveries++
-	if findings, _ := delta.Fsck(base); len(findings) != 0 {
-		fail("fsck after restart: %v", findings)
+	n["recoveries"]++
+	if fsck, _ := delta.Fsck(base); len(fsck) != 0 {
+		fail("fsck after restart: %v", fsck)
 		return
 	}
 	g2, err := tile.Open(base)
@@ -387,7 +373,7 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	case seq == uint64(acked):
 	case inflight != nil && seq == uint64(acked)+1:
 		fold(inflight)
-		rep.WholeUnacked++
+		n["whole_unacked_batches"]++
 	default:
 		fail("recovered seq %d, want %d acked (in-flight batch: %v)", seq, acked, inflight != nil)
 		return
@@ -425,7 +411,8 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	for _, f := range compareQueries(g2, ds2, rg, root, idx%2 == 0) {
 		fail("%s", f)
 	}
-	rep.QueriesCompared++
+	n["queries_compared"]++
+	return findings
 }
 
 // chaosEngineOpts returns small unthrottled engine options for the
@@ -508,11 +495,11 @@ func compareQueries(tg *tile.Graph, ds *delta.Store, ref *tile.Graph, root uint3
 // chaosServerScenario drives the whole stack through degraded mode: a
 // server whose WAL fsyncs always fail must reject ingest with 503
 // status="wal_failed", keep serving queries, and fail readiness.
-func chaosServerScenario(c *Config, rep *chaosReport, dir string, el *graph.EdgeList, topts tile.ConvertOptions) error {
+func chaosServerScenario(c *Config, n map[string]int64, dir string, el *graph.EdgeList, topts tile.ConvertOptions) (findings []string, err error) {
 	sdir := filepath.Join(dir, "server")
 	tg, err := tile.Convert(el, sdir, "chaos", topts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tg.Close()
 
@@ -522,38 +509,38 @@ func chaosServerScenario(c *Config, rep *chaosReport, dir string, el *graph.Edge
 	srv.DeltaFS = fs
 	defer srv.Close()
 	if err := srv.AddGraph("chaos", tile.BasePath(sdir, "chaos"), chaosEngineOpts()); err != nil {
-		return err
+		return nil, err
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	fail := func(format string, args ...interface{}) {
-		rep.Findings = append(rep.Findings, "server scenario: "+fmt.Sprintf(format, args...))
+		findings = append(findings, "server scenario: "+fmt.Sprintf(format, args...))
 	}
 
 	code, body, err := httpJSON(http.MethodPost, ts.URL+"/graphs/chaos/edges",
 		`{"edges":[{"src":1,"dst":2}]}`)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if code != http.StatusServiceUnavailable || body["status"] != "wal_failed" {
 		fail("ingest under failed fsync = %d %v, want 503 wal_failed", code, body)
 	}
 	code, _, err = httpJSON(http.MethodPost, ts.URL+"/graphs/chaos/bfs", `{"root":0}`)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if code != http.StatusOK {
 		fail("bfs on degraded graph = %d, want 200", code)
 	}
 	code, body, err = httpJSON(http.MethodGet, ts.URL+"/readyz", "")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if code != http.StatusServiceUnavailable || body["status"] != "wal_failed" {
 		fail("/readyz on degraded server = %d %v, want 503 wal_failed", code, body)
 	}
-	rep.ServerScenarios++
-	return nil
+	n["server_scenarios"]++
+	return findings, nil
 }
 
 // httpJSON fires one request and decodes the JSON object response.
@@ -600,31 +587,4 @@ func copyFlatDir(src, dst string) error {
 		}
 	}
 	return nil
-}
-
-func printChaosReport(out io.Writer, rep *chaosReport) {
-	tb := report.New(fmt.Sprintf("chaos: %d seeded crash/fault schedules (scale %d, seed %d)",
-		rep.Schedules, rep.Scale, rep.Seed), "metric", "value")
-	tb.Row("batches applied", rep.Batches)
-	tb.Row("batches acked", rep.AckedBatches)
-	tb.Row("mutations acked", rep.Mutations)
-	tb.Row("snapshot flushes", rep.Flushes)
-	tb.Row("simulated crashes", rep.Crashes)
-	tb.Row("fsync failures (sticky degraded)", rep.FsyncFailures)
-	tb.Row("transient write faults (retried)", rep.TransientFaults)
-	tb.Row("ENOSPC faults (freed + retried)", rep.NoSpaceFaults)
-	tb.Row("in-flight batches recovered whole", rep.WholeUnacked)
-	tb.Row("recoveries verified", rep.Recoveries)
-	tb.Row("query comparisons vs fresh conversion", rep.QueriesCompared)
-	tb.Row("server degraded-mode scenarios", rep.ServerScenarios)
-	tb.Row("invariant violations", len(rep.Findings))
-	tb.Row("elapsed", fmt.Sprintf("%.1fs", rep.Sec))
-	tb.Fprint(out)
-	for i, f := range rep.Findings {
-		if i == 10 {
-			fmt.Fprintf(out, "  ... %d more findings\n", len(rep.Findings)-10)
-			break
-		}
-		fmt.Fprintf(out, "  FINDING: %s\n", f)
-	}
 }

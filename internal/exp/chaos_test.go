@@ -22,25 +22,26 @@ func TestChaosShort(t *testing.T) {
 		Quick:      true,
 	}
 	c.Defaults()
-	rep, err := chaosRun(c, 200)
+	rep, findings, err := chaosRun(c, 200)
 	if err != nil {
 		t.Fatalf("chaos run: %v\n%s", err, out.String())
 	}
-	for _, f := range rep.Findings {
+	for _, f := range findings {
 		t.Errorf("finding: %s", f)
 	}
-	if rep.Recoveries != 200 {
-		t.Fatalf("verified %d recoveries, want 200", rep.Recoveries)
+	n := rep.Phases[0].Counters
+	if n["recoveries"] != 200 {
+		t.Fatalf("verified %d recoveries, want 200", n["recoveries"])
 	}
-	if rep.ServerScenarios != 1 {
+	if n["server_scenarios"] != 1 {
 		t.Fatalf("server degraded-mode scenario did not run")
 	}
 	// The schedule generator must actually exercise the fault space:
 	// with 200 schedules over 6 scenarios, each class appears many times.
-	if rep.Crashes == 0 || rep.FsyncFailures == 0 || rep.TransientFaults == 0 || rep.NoSpaceFaults == 0 {
-		t.Fatalf("fault space not covered: %+v", rep)
+	if n["crashes"] == 0 || n["fsync_failures"] == 0 || n["transient_faults"] == 0 || n["enospc_faults"] == 0 {
+		t.Fatalf("fault space not covered: %v", n)
 	}
-	if rep.Flushes == 0 || rep.AckedBatches == 0 {
-		t.Fatalf("write path not exercised: %+v", rep)
+	if n["flushes"] == 0 || n["acked_batches"] == 0 {
+		t.Fatalf("write path not exercised: %v", n)
 	}
 }

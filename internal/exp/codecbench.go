@@ -2,50 +2,15 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
-
-// codecSide is one codec's half of the comparison.
-type codecSide struct {
-	Codec      string  `json:"codec"`
-	TileBytes  int64   `json:"tile_bytes"`
-	StartBytes int64   `json:"start_bytes"`
-	BytesEdge  float64 `json:"bytes_per_edge"`
-	ConvertSec float64 `json:"convert_seconds"`
-
-	Queries    int     `json:"queries"`
-	ElapsedSec float64 `json:"elapsed_seconds"`
-	QPS        float64 `json:"qps"`
-	BytesQuery float64 `json:"bytes_per_query"`
-	BFSSec     float64 `json:"bfs_seconds"`
-	PRSec      float64 `json:"pagerank_seconds"`
-}
-
-// codecBenchReport is the BENCH_pr7.json artifact: the same graph
-// converted with the fixed-width SNB codec (format v2) and the
-// delta+varint block codec (format v3), with storage footprint and
-// query-path cost side by side.
-type codecBenchReport struct {
-	Scale      int64     `json:"scale"`
-	Edges      int64     `json:"edges"`
-	V2         codecSide `json:"v2_snb"`
-	V3         codecSide `json:"v3"`
-	TileRatio  float64   `json:"tile_bytes_ratio_v2_over_v3"`
-	BytesRatio float64   `json:"bytes_per_query_ratio_v2_over_v3"`
-	QPSRatio   float64   `json:"qps_ratio_v3_over_v2"`
-	// ResultsMatch confirms BFS depths and WCC labels are bit-identical
-	// across the two codecs (the report is meaningless otherwise).
-	ResultsMatch bool `json:"results_match"`
-}
 
 // CodecBench converts the primary workload once per tuple codec and
 // compares storage bytes and query cost: tile bytes per edge, bytes read
@@ -64,16 +29,12 @@ func CodecBench(c *Config) error {
 	if err != nil {
 		return err
 	}
-	rep := &codecBenchReport{Scale: int64(c.Scale), Edges: int64(len(el.Edges))}
-
+	edges := int64(len(el.Edges))
+	rep := Report{Experiment: "codec", Scale: c.Scale, Seed: c.Seed}
 	var depths [2][]int32
 	var labels [2][]uint32
-	for i, side := range []*codecSide{&rep.V2, &rep.V3} {
-		codec := "snb"
-		if i == 1 {
-			codec = "v3"
-		}
-		side.Codec = codec
+	for i, codec := range []string{"snb", "v3"} {
+		p := newPhase(codec)
 		topts := c.stdTileOpts()
 		topts.TileBits = c.tileBits()
 		topts.GroupQ = 8
@@ -83,144 +44,86 @@ func CodecBench(c *Config) error {
 		if err != nil {
 			return err
 		}
-		side.ConvertSec = time.Since(begin).Seconds()
-		side.TileBytes = tg.DataBytes()
-		side.StartBytes = tg.StartBytes()
-		if rep.Edges > 0 {
-			side.BytesEdge = float64(side.TileBytes) / float64(rep.Edges)
+		p.Measured["convert_seconds"] = time.Since(begin).Seconds()
+		p.Counters["edges"] = edges
+		p.Counters["tile_bytes"] = tg.DataBytes()
+		p.Counters["start_bytes"] = tg.StartBytes()
+		if edges > 0 {
+			p.Measured["bytes_per_edge"] = float64(tg.DataBytes()) / float64(edges)
 		}
-
-		e, err := core.NewEngine(tg, c.diskOpts(tg))
-		if err != nil {
-			tg.Close()
-			return err
-		}
-		ctx := context.Background()
-		run := func(a algo.Algorithm) (*core.Stats, error) {
-			return e.Run(ctx, a)
-		}
-
-		// The query mix: BFS from four spread roots plus one PageRank,
-		// identical per codec. Bytes/query averages the engine's BytesRead
-		// over the mix; QPS is mix size over wall time.
-		roots := []uint32{0, tg.Meta.NumVertices / 3, tg.Meta.NumVertices / 2, tg.Meta.NumVertices - 1}
-		begin = time.Now()
-		var bytesRead int64
-		for qi, root := range roots {
-			b := algo.NewBFS(root)
-			st, err := run(b)
-			if err != nil {
-				e.Close()
-				tg.Close()
-				return err
-			}
-			bytesRead += st.BytesRead
-			if qi == 0 {
-				side.BFSSec = st.Elapsed.Seconds()
-				depths[i] = b.Depths()
-			}
-		}
-		pr := algo.NewPageRank(5)
-		st, err := run(pr)
-		if err != nil {
-			e.Close()
-			tg.Close()
-			return err
-		}
-		bytesRead += st.BytesRead
-		side.PRSec = st.Elapsed.Seconds()
-
-		w := algo.NewWCC()
-		if st, err = run(w); err != nil {
-			e.Close()
-			tg.Close()
-			return err
-		}
-		bytesRead += st.BytesRead
-		labels[i] = w.Labels()
-
-		side.Queries = len(roots) + 2
-		side.ElapsedSec = time.Since(begin).Seconds()
-		if side.ElapsedSec > 0 {
-			side.QPS = float64(side.Queries) / side.ElapsedSec
-		}
-		side.BytesQuery = float64(bytesRead) / float64(side.Queries)
-		e.Close()
+		err = codecQueries(tg, c.diskOpts(tg), p, &depths[i], &labels[i])
 		tg.Close()
+		if err != nil {
+			return err
+		}
+		rep.Phases = append(rep.Phases, p)
 	}
-
-	rep.ResultsMatch = int32SlicesEqual(depths[0], depths[1]) &&
-		uint32SlicesEqual(labels[0], labels[1])
-	if rep.V3.TileBytes > 0 {
-		rep.TileRatio = float64(rep.V2.TileBytes) / float64(rep.V3.TileBytes)
-	}
-	if rep.V3.BytesQuery > 0 {
-		rep.BytesRatio = rep.V2.BytesQuery / rep.V3.BytesQuery
-	}
-	if rep.V2.QPS > 0 {
-		rep.QPSRatio = rep.V3.QPS / rep.V2.QPS
-	}
-	if !rep.ResultsMatch {
+	if !slices.Equal(depths[0], depths[1]) || !slices.Equal(labels[0], labels[1]) {
 		return fmt.Errorf("codec: v2 and v3 stores disagree on BFS/WCC results")
 	}
-
-	printCodecReport(c.Out, rep)
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
+	v2, v3 := rep.Phases[0], rep.Phases[1]
+	if b := v3.Counters["tile_bytes"]; b > 0 {
+		v3.Measured["tile_bytes_ratio_v2_over_v3"] = float64(v2.Counters["tile_bytes"]) / float64(b)
 	}
+	if b := v3.Measured["bytes_per_query"]; b > 0 {
+		v3.Measured["bytes_per_query_ratio_v2_over_v3"] = v2.Measured["bytes_per_query"] / b
+	}
+	if q := v2.Measured["qps"]; q > 0 {
+		v3.Measured["qps_ratio_v3_over_v2"] = v3.Measured["qps"] / q
+	}
+	c.emit(rep)
 	return nil
 }
 
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+// codecQueries runs the codec benchmark's query mix on tg into p: BFS
+// from four spread roots, one PageRank and one WCC. Bytes per query
+// average the engine's BytesRead over the mix; QPS is mix size over wall
+// time. The first BFS's depths and the WCC labels go to depths and
+// labels for the cross-codec check.
+func codecQueries(tg *tile.Graph, opts core.Options, p Phase, depths *[]int32, labels *[]uint32) error {
+	e, err := core.NewEngine(tg, opts)
+	if err != nil {
+		return err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	defer e.Close()
+	ctx := context.Background()
+	nv := tg.Meta.NumVertices
+	roots := []uint32{0, nv / 3, nv / 2, nv - 1}
+	begin := time.Now()
+	var bytesRead int64
+	for qi, root := range roots {
+		b := algo.NewBFS(root)
+		st, err := e.Run(ctx, b)
+		if err != nil {
+			return err
+		}
+		bytesRead += st.BytesRead
+		if qi == 0 {
+			p.Measured["bfs_seconds"] = st.Elapsed.Seconds()
+			*depths = b.Depths()
 		}
 	}
-	return true
-}
-
-func uint32SlicesEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
+	st, err := e.Run(ctx, algo.NewPageRank(5))
+	if err != nil {
+		return err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	bytesRead += st.BytesRead
+	p.Measured["pagerank_seconds"] = st.Elapsed.Seconds()
+	w := algo.NewWCC()
+	if st, err = e.Run(ctx, w); err != nil {
+		return err
 	}
-	return true
-}
+	bytesRead += st.BytesRead
+	*labels = w.Labels()
 
-func printCodecReport(out io.Writer, rep *codecBenchReport) {
-	tb := report.New(fmt.Sprintf("tile codec comparison, kron-%d (%d edges)", rep.Scale, rep.Edges),
-		"metric", "v2 (snb)", "v3 (blocks)", "ratio")
-	tb.Row("tile bytes",
-		report.Bytes(rep.V2.TileBytes), report.Bytes(rep.V3.TileBytes),
-		fmt.Sprintf("%.2fx smaller", rep.TileRatio))
-	tb.Row("bytes/edge",
-		fmt.Sprintf("%.2f", rep.V2.BytesEdge), fmt.Sprintf("%.2f", rep.V3.BytesEdge), "")
-	tb.Row("convert",
-		fmt.Sprintf("%.2fs", rep.V2.ConvertSec), fmt.Sprintf("%.2fs", rep.V3.ConvertSec), "")
-	tb.Row("bytes/query",
-		report.Bytes(int64(rep.V2.BytesQuery)), report.Bytes(int64(rep.V3.BytesQuery)),
-		fmt.Sprintf("%.2fx fewer", rep.BytesRatio))
-	tb.Row("QPS",
-		fmt.Sprintf("%.2f", rep.V2.QPS), fmt.Sprintf("%.2f", rep.V3.QPS),
-		fmt.Sprintf("%.2fx", rep.QPSRatio))
-	tb.Row("BFS / PageRank",
-		fmt.Sprintf("%.3fs / %.3fs", rep.V2.BFSSec, rep.V2.PRSec),
-		fmt.Sprintf("%.3fs / %.3fs", rep.V3.BFSSec, rep.V3.PRSec), "")
-	tb.Row("results match", rep.ResultsMatch, "", "")
-	tb.Fprint(out)
+	queries := int64(len(roots) + 2)
+	elapsed := time.Since(begin).Seconds()
+	p.Counters["queries"] = queries
+	p.Counters["bytes_read"] = bytesRead
+	p.Measured["bytes_per_query"] = float64(bytesRead) / float64(queries)
+	p.Measured["elapsed_seconds"] = elapsed
+	if elapsed > 0 {
+		p.Measured["qps"] = float64(queries) / elapsed
+	}
+	return nil
 }

@@ -55,11 +55,9 @@ type Config struct {
 	// Target, when set, points the "serve" runner at a running gstored
 	// (e.g. http://localhost:8080) instead of an in-process server.
 	Target string
-	// BenchOut, when set, receives the "serve" runner's JSON report.
-	BenchOut string
-	// BatchWindow is the coalescing window of the "serve-personal"
-	// runner's fused phase (default 2ms).
-	BatchWindow time.Duration
+
+	// reports collects what the benchmark runners emit (see Reports).
+	reports []Report
 }
 
 // Defaults fills unset fields.
@@ -85,6 +83,17 @@ func (c *Config) Defaults() {
 	if c.Out == nil {
 		c.Out = os.Stdout
 	}
+}
+
+// benchDuration is how long each closed-loop serving phase runs.
+func (c *Config) benchDuration() time.Duration {
+	switch {
+	case c.BenchDuration > 0:
+		return c.BenchDuration
+	case c.Quick:
+		return 2 * time.Second
+	}
+	return 5 * time.Second
 }
 
 // Runner is one experiment.

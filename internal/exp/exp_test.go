@@ -77,6 +77,33 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// Every benchmark run on one Config is recorded, not only the last, so
+// gsbench -benchout can write them all.
+func TestBenchReportsRecorded(t *testing.T) {
+	var out bytes.Buffer
+	c := quickConfig(t, &out)
+	for _, id := range []string{"codec", "io"} {
+		r, _ := Find(id)
+		if err := r.Run(c); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	reps := c.Reports()
+	if len(reps) != 2 || reps[0].Experiment != "codec" || reps[1].Experiment != "io" {
+		t.Fatalf("recorded %d reports, want codec and io: %+v", len(reps), reps)
+	}
+	for _, rep := range reps {
+		if rep.Scale != c.Scale || rep.Seed != c.Seed || len(rep.Phases) < 2 {
+			t.Fatalf("%s: header %d/%d, %d phases", rep.Experiment, rep.Scale, rep.Seed, len(rep.Phases))
+		}
+		for _, p := range rep.Phases {
+			if len(p.Counters) == 0 || len(p.Measured) == 0 {
+				t.Fatalf("%s/%s: empty counters or measured values", rep.Experiment, p.Name)
+			}
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	v := []int64{5, 1, 4, 2, 3}
 	s := sortedCopy(v)

@@ -2,52 +2,25 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
 	"github.com/gwu-systems/gstore/internal/delta"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// ingestBenchReport is the BENCH_pr6.json artifact: the cost of the
-// WAL-backed write path (mutations/sec through Apply, snapshot flush
-// time) and the read-side price of the delta merge (same queries on the
-// same engine before and after the mutations land, overhead = merged
-// runtime / pristine runtime).
-type ingestBenchReport struct {
-	Mutations       int64   `json:"mutations"`
-	Batches         int     `json:"batches"`
-	BatchSize       int     `json:"batch_size"`
-	ApplySec        float64 `json:"apply_seconds"`
-	MutationsPerSec float64 `json:"mutations_per_sec"`
-	FlushSec        float64 `json:"flush_seconds"`
-	WALAppends      int64   `json:"wal_appends"`
-	DeltaTiles      int     `json:"delta_tiles"`
-
-	PristineBFSSec float64 `json:"pristine_bfs_seconds"`
-	PristinePRSec  float64 `json:"pristine_pagerank_seconds"`
-	MergedBFSSec   float64 `json:"merged_bfs_seconds"`
-	MergedPRSec    float64 `json:"merged_pagerank_seconds"`
-	OverheadBFS    float64 `json:"overhead_bfs"`
-	OverheadPR     float64 `json:"overhead_pagerank"`
-}
-
 // IngestBench measures the mutable-graph write path end to end: it
-// converts a fresh copy of the primary workload, times BFS and PageRank
-// on the pristine base, streams a deterministic batch workload of edge
-// inserts and deletes through the delta store (every Apply group-commits
-// to the WAL), then re-runs the same queries with the delta merge active
-// and reports the read overhead alongside mutations/sec.
+// converts a fresh copy of the primary workload, times PageRank on the
+// pristine base, streams a deterministic batch workload of edge inserts
+// and deletes through the delta store (every Apply group-commits to the
+// WAL), then re-runs PageRank with the delta merge active and reports
+// the read overhead alongside mutations/sec.
 //
-// PageRank (fixed iteration count) is the clean merge-overhead signal;
-// BFS runtime also moves with the sweep count, which the inserted edges
-// shrink by lowering the graph's diameter.
+// PageRank runs a fixed iteration count, so merged over pristine time is
+// the merge cost. BFS is left out: its runtime moves with the sweep
+// count, which the random inserts shrink by lowering the diameter.
 func IngestBench(c *Config) error {
 	dir, err := tempWorkDir(c, "ingest")
 	if err != nil {
@@ -75,25 +48,24 @@ func IngestBench(c *Config) error {
 	}
 	defer e.Close()
 	ctx := context.Background()
-	timeRun := func(a algo.Algorithm) (float64, error) {
+	timePageRank := func() (float64, error) {
 		begin := time.Now()
-		_, err := e.Run(ctx, a)
+		_, err := e.Run(ctx, algo.NewPageRank(5))
 		return time.Since(begin).Seconds(), err
 	}
 
-	rep := &ingestBenchReport{BatchSize: 1024}
-	// Warm the cache pool first so pristine and merged timings compare
-	// warm-to-warm; otherwise the first run's cold streaming cost lands
-	// entirely on the pristine side.
-	if _, err := timeRun(algo.NewBFS(0)); err != nil {
+	// One warm-up PageRank fills the cache pool, so pristine and merged
+	// timings compare warm to warm; otherwise the cold streaming cost
+	// lands entirely on the pristine side.
+	if _, err := timePageRank(); err != nil {
 		return err
 	}
-	if rep.PristineBFSSec, err = timeRun(algo.NewBFS(0)); err != nil {
+	pristine, merged, ingest := newPhase("pristine"), newPhase("merged"), newPhase("ingest")
+	prSec, err := timePageRank()
+	if err != nil {
 		return err
 	}
-	if rep.PristinePRSec, err = timeRun(algo.NewPageRank(5)); err != nil {
-		return err
-	}
+	pristine.Measured["pagerank_seconds"] = prSec
 
 	// The mutation stream: 7/8 inserts of pseudo-random new edges, 1/8
 	// deletes of edges inserted earlier in the stream, all from one
@@ -126,69 +98,39 @@ func IngestBench(c *Config) error {
 		return err
 	}
 	defer ds.Close()
+	const batchSize = 1024
+	batches := int64(0)
 	begin := time.Now()
-	for off := 0; off < len(ops); off += rep.BatchSize {
-		end := off + rep.BatchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
-		if _, err := ds.Apply(ops[off:end]); err != nil {
+	for off := 0; off < len(ops); off += batchSize {
+		if _, err := ds.Apply(ops[off:min(off+batchSize, len(ops))]); err != nil {
 			return err
 		}
-		rep.Batches++
+		batches++
 	}
-	rep.ApplySec = time.Since(begin).Seconds()
-	rep.Mutations = int64(len(ops))
-	rep.MutationsPerSec = float64(rep.Mutations) / rep.ApplySec
-
+	applySec := time.Since(begin).Seconds()
 	begin = time.Now()
 	if err := ds.Flush(); err != nil {
 		return err
 	}
-	rep.FlushSec = time.Since(begin).Seconds()
+	ingest.Measured["flush_seconds"] = time.Since(begin).Seconds()
 	st := ds.Stats()
-	rep.WALAppends = int64(st.WALAppends)
-	rep.DeltaTiles = st.DeltaTiles
+	ingest.Counters["mutations"] = int64(len(ops))
+	ingest.Counters["batch_size"] = batchSize
+	ingest.Counters["batches"] = batches
+	ingest.Counters["wal_appends"] = int64(st.WALAppends)
+	ingest.Counters["delta_tiles"] = int64(st.DeltaTiles)
+	ingest.Measured["apply_seconds"] = applySec
+	ingest.Measured["mutations_per_sec"] = float64(len(ops)) / applySec
 
 	e.SetDeltaStore(ds)
-	if rep.MergedBFSSec, err = timeRun(algo.NewBFS(0)); err != nil {
+	if prSec, err = timePageRank(); err != nil {
 		return err
 	}
-	if rep.MergedPRSec, err = timeRun(algo.NewPageRank(5)); err != nil {
-		return err
+	merged.Measured["pagerank_seconds"] = prSec
+	if p := pristine.Measured["pagerank_seconds"]; p > 0 {
+		merged.Measured["overhead_pagerank"] = prSec / p
 	}
-	if rep.PristineBFSSec > 0 {
-		rep.OverheadBFS = rep.MergedBFSSec / rep.PristineBFSSec
-	}
-	if rep.PristinePRSec > 0 {
-		rep.OverheadPR = rep.MergedPRSec / rep.PristinePRSec
-	}
-
-	printIngestReport(c.Out, rep)
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
-	}
+	c.emit(Report{Experiment: "ingest", Scale: c.Scale, Seed: c.Seed,
+		Phases: []Phase{pristine, ingest, merged}})
 	return nil
-}
-
-func printIngestReport(out io.Writer, rep *ingestBenchReport) {
-	tb := report.New("ingest-then-query: WAL write path and delta-merge read overhead",
-		"phase", "value")
-	tb.Row("mutations applied", rep.Mutations)
-	tb.Row("mutations/sec", fmt.Sprintf("%.0f", rep.MutationsPerSec))
-	tb.Row("WAL group commits", rep.WALAppends)
-	tb.Row("snapshot flush", fmt.Sprintf("%.3fs", rep.FlushSec))
-	tb.Row("delta tiles", rep.DeltaTiles)
-	tb.Row("BFS pristine -> merged", fmt.Sprintf("%.3fs -> %.3fs (%.2fx)",
-		rep.PristineBFSSec, rep.MergedBFSSec, rep.OverheadBFS))
-	tb.Row("PageRank pristine -> merged", fmt.Sprintf("%.3fs -> %.3fs (%.2fx)",
-		rep.PristinePRSec, rep.MergedPRSec, rep.OverheadPR))
-	tb.Fprint(out)
 }

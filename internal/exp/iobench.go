@@ -2,65 +2,22 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// ioSide is one backend at one submitter-parallelism level.
-type ioSide struct {
-	Backend string `json:"backend"`
-	// Workers is the parallelism knob being swept: simulated disks for
-	// the sim backend, submitter goroutines for the file backend.
-	Workers int    `json:"workers"`
-	Mode    string `json:"mode"`
-
-	BFSSec      float64 `json:"bfs_seconds"`
-	PRSec       float64 `json:"pagerank_seconds"`
-	EdgesPerSec float64 `json:"edges_per_second"`
-	BytesRead   int64   `json:"bytes_read"`
-	BytesPerSec float64 `json:"bytes_per_second"`
-
-	Requests      int64   `json:"requests"`
-	Spans         int64   `json:"spans"`
-	Coalesced     int64   `json:"coalesced"`
-	CoalesceRatio float64 `json:"coalesce_ratio"`
-	GapBytes      int64   `json:"gap_bytes"`
-	ReadaheadHits int64   `json:"readahead_hints"`
-	ReadP50Usec   float64 `json:"read_p50_usec"`
-	ReadP99Usec   float64 `json:"read_p99_usec"`
-}
-
-// ioBenchReport is the BENCH_pr10.json artifact: the simulated striped
-// array and the real-file async backend side by side over the same graph
-// and query mix, swept across submitter counts.
-type ioBenchReport struct {
-	Scale   int64    `json:"scale"`
-	Edges   int64    `json:"edges"`
-	PRIters int      `json:"pagerank_iterations"`
-	Sim     []ioSide `json:"sim"`
-	File    []ioSide `json:"file"`
-	// FileOverSim compares the best file-backend PageRank edges/sec to
-	// the best unthrottled-sim edges/sec (>= 1 means real reads keep up
-	// with the zero-cost simulator).
-	FileOverSim float64 `json:"file_over_sim_edges_ratio"`
-	// ResultsMatch confirms every backend/worker combination returned
-	// bit-identical BFS depths.
-	ResultsMatch bool `json:"results_match"`
-}
-
 // IOBench sweeps BFS+PageRank over the simulated array (unthrottled, so
 // it measures scheduling overhead rather than a modeled disk) and the
-// file-backed async device at matching parallelism, reporting edges/sec,
-// bytes/sec, read-latency percentiles, and the file backend's request
-// coalescing ratio. BFS depths are cross-checked bit-identical across
-// every combination.
+// file-backed async device at matching parallelism, one phase per
+// backend and worker count ("sim/w2", "file/w2", ...), reporting
+// edges/sec, bytes/sec, read-latency percentiles, and the file backend's
+// request coalescing ratio. BFS depths are cross-checked bit-identical
+// across every combination.
 func IOBench(c *Config) error {
 	dir, err := tempWorkDir(c, "io")
 	if err != nil {
@@ -87,14 +44,12 @@ func IOBench(c *Config) error {
 		prIters = 3
 		workers = []int{2, 4}
 	}
-	rep := &ioBenchReport{Scale: int64(c.Scale), Edges: int64(len(el.Edges)), PRIters: prIters}
-
+	rep := Report{Experiment: "io", Scale: c.Scale, Seed: c.Seed}
 	var refDepths []int32
-	rep.ResultsMatch = true
 	edges := 2 * tg.Meta.NumOriginal
 
-	runSide := func(backend string, w int) (ioSide, error) {
-		side := ioSide{Backend: backend, Workers: w}
+	runSide := func(backend string, w int) (Phase, error) {
+		p := newPhase(fmt.Sprintf("%s/w%d", backend, w))
 		o := c.diskOpts(tg)
 		// Unthrottled: the sim side costs nothing per byte, so beating it
 		// means the real read path's overhead is hidden by the pipeline.
@@ -108,7 +63,7 @@ func IOBench(c *Config) error {
 		}
 		e, err := core.NewEngine(tg, o)
 		if err != nil {
-			return side, err
+			return p, err
 		}
 		defer e.Close()
 		ctx := context.Background()
@@ -116,109 +71,58 @@ func IOBench(c *Config) error {
 		b := algo.NewBFS(0)
 		bst, err := e.Run(ctx, b)
 		if err != nil {
-			return side, err
+			return p, err
 		}
 		if refDepths == nil {
 			refDepths = b.Depths()
-		} else if !int32SlicesEqual(refDepths, b.Depths()) {
-			rep.ResultsMatch = false
+		} else if !slices.Equal(refDepths, b.Depths()) {
+			return p, fmt.Errorf("io: %s disagrees with sim/w%d on BFS depths", p.Name, workers[0])
 		}
 		pst, err := e.Run(ctx, algo.NewPageRank(prIters))
 		if err != nil {
-			return side, err
+			return p, err
 		}
 
-		side.Mode = pst.IO.Mode
-		side.BFSSec = bst.Elapsed.Seconds()
-		side.PRSec = pst.Elapsed.Seconds()
-		if side.PRSec > 0 {
-			side.EdgesPerSec = float64(prIters) * float64(edges) / side.PRSec
+		n, m := p.Counters, p.Measured
+		n["bytes_read"] = bst.BytesRead + pst.BytesRead
+		n["requests"] = bst.Storage.Requests + pst.Storage.Requests
+		n["spans"] = bst.IO.Spans + pst.IO.Spans
+		n["coalesced"] = bst.IO.Coalesced + pst.IO.Coalesced
+		n["gap_bytes"] = bst.IO.GapBytes + pst.IO.GapBytes
+		n["readahead_hints"] = bst.IO.ReadaheadHints + pst.IO.ReadaheadHints
+		m["bfs_seconds"] = bst.Elapsed.Seconds()
+		m["pagerank_seconds"] = pst.Elapsed.Seconds()
+		if pr := pst.Elapsed.Seconds(); pr > 0 {
+			m["edges_per_second"] = float64(prIters) * float64(edges) / pr
 		}
-		side.BytesRead = bst.BytesRead + pst.BytesRead
-		if total := side.BFSSec + side.PRSec; total > 0 {
-			side.BytesPerSec = float64(side.BytesRead) / total
+		if total := (bst.Elapsed + pst.Elapsed).Seconds(); total > 0 {
+			m["bytes_per_second"] = float64(n["bytes_read"]) / total
 		}
-		prIO := pst.IO
-		side.Requests = bst.Storage.Requests + pst.Storage.Requests
-		side.Spans = bst.IO.Spans + prIO.Spans
-		side.Coalesced = bst.IO.Coalesced + prIO.Coalesced
-		side.GapBytes = bst.IO.GapBytes + prIO.GapBytes
-		side.ReadaheadHits = bst.IO.ReadaheadHints + prIO.ReadaheadHints
-		if side.Spans > 0 {
-			side.CoalesceRatio = float64(side.Requests) / float64(side.Spans)
+		if n["spans"] > 0 {
+			m["coalesce_ratio"] = float64(n["requests"]) / float64(n["spans"])
 		}
 		// Percentiles come from the PageRank run alone: its dense sweeps
 		// are the steady-state read pattern the backend is sized for.
-		side.ReadP50Usec = prIO.Latency.Quantile(0.5) * 1e6
-		side.ReadP99Usec = prIO.Latency.Quantile(0.99) * 1e6
-		return side, nil
+		m["read_p50_usec"] = pst.IO.Latency.Quantile(0.5) * 1e6
+		m["read_p99_usec"] = pst.IO.Latency.Quantile(0.99) * 1e6
+		return p, nil
 	}
 
 	for _, w := range workers {
-		s, err := runSide("sim", w)
+		sim, err := runSide("sim", w)
 		if err != nil {
 			return err
 		}
-		rep.Sim = append(rep.Sim, s)
-		f, err := runSide("file", w)
+		file, err := runSide("file", w)
 		if err != nil {
 			return err
 		}
-		rep.File = append(rep.File, f)
-	}
-
-	best := func(sides []ioSide) float64 {
-		var m float64
-		for _, s := range sides {
-			if s.EdgesPerSec > m {
-				m = s.EdgesPerSec
-			}
+		// >= 1 means real reads keep up with the zero-cost simulator.
+		if s := sim.Measured["edges_per_second"]; s > 0 {
+			file.Measured["edges_ratio_over_sim"] = file.Measured["edges_per_second"] / s
 		}
-		return m
+		rep.Phases = append(rep.Phases, sim, file)
 	}
-	if bs := best(rep.Sim); bs > 0 {
-		rep.FileOverSim = best(rep.File) / bs
-	}
-	if !rep.ResultsMatch {
-		return fmt.Errorf("io: backends disagree on BFS depths")
-	}
-
-	printIOReport(c.Out, rep)
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
-	}
+	c.emit(rep)
 	return nil
-}
-
-func printIOReport(out io.Writer, rep *ioBenchReport) {
-	tb := report.New(
-		fmt.Sprintf("I/O backends, kron-%d (%d edges), PageRank x%d + BFS",
-			rep.Scale, rep.Edges, rep.PRIters),
-		"backend", "workers", "edges/s", "bytes/s", "coalesce", "p50 read", "p99 read")
-	row := func(s ioSide) {
-		name := s.Backend
-		if s.Mode != "" && s.Mode != s.Backend {
-			name += "/" + s.Mode
-		}
-		tb.Row(name, s.Workers,
-			fmt.Sprintf("%.2fM", s.EdgesPerSec/1e6),
-			report.Bytes(int64(s.BytesPerSec))+"/s",
-			fmt.Sprintf("%.2fx", s.CoalesceRatio),
-			fmt.Sprintf("%.0fµs", s.ReadP50Usec),
-			fmt.Sprintf("%.0fµs", s.ReadP99Usec))
-	}
-	for i := range rep.Sim {
-		row(rep.Sim[i])
-		row(rep.File[i])
-	}
-	tb.Row("file/sim best", "", fmt.Sprintf("%.2fx", rep.FileOverSim), "", "", "", "")
-	tb.Row("results match", "", rep.ResultsMatch, "", "", "", "")
-	tb.Fprint(out)
 }

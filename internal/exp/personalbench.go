@@ -1,55 +1,13 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/gwu-systems/gstore/internal/core"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/server"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
-
-// personalResult is one closed-loop personalized-serving phase.
-type personalResult struct {
-	Mode           string  `json:"mode"`
-	Clients        int     `json:"clients"`
-	DurationSec    float64 `json:"duration_seconds"`
-	Queries        int64   `json:"queries"`
-	Errors         int64   `json:"errors"`
-	QPS            float64 `json:"qps"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	BytesRead      int64   `json:"bytes_read"`
-	BytesPerQuery  float64 `json:"bytes_per_query"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheJoins     int64   `json:"cache_joins"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	CoalescedRuns  int64   `json:"coalesced_runs"`
-	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
-}
-
-// personalBenchReport is the BENCH_pr8.json artifact: the PR 5
-// one-root-per-slot path vs the fused path (msbfs coalescing + result
-// cache) under the same Zipf-with-bursts root mix.
-type personalBenchReport struct {
-	Baseline   *personalResult `json:"baseline"`
-	Personal   *personalResult `json:"personal"`
-	SpeedupQPS float64         `json:"speedup_qps"`
-	BytesRatio float64         `json:"bytes_ratio"`
-}
 
 // ServePersonal drives the personalized-query serving path with a
 // closed loop of clients firing GET /bfs?root= queries whose roots
@@ -57,323 +15,75 @@ type personalBenchReport struct {
 // repeats its current root back to back, the way a recommendation
 // refresh re-queries the same user). Two phases over the same graph:
 //
-//   - baseline: batch window 0, cache off — every query is a solo BFS
-//     occupying its own run slot (the PR 5 path).
-//   - personal: coalescing window on, result cache on — concurrent
-//     roots fuse into one msbfs run and repeats hit the cache.
+//   - one-root-per-slot: batch window 0, cache off — every query is a
+//     solo BFS occupying its own run slot.
+//   - fused+cache: a 2 ms coalescing window (gstored's default) and the
+//     result cache — concurrent roots fuse into one msbfs run and
+//     repeats hit the cache.
 //
-// The report carries QPS, p50/p99 latency, bytes/query, cache hit
-// rate, coalesced-run count, and the p99 scheduler admission wait
-// scraped from the gstore_run_queue_wait_seconds histogram.
+// Besides the closed loop's QPS, latency and bytes/query, each phase
+// reports the cache hit rate, the coalesced-run count, and the p99
+// scheduler admission wait from the gstore_run_queue_wait_seconds
+// histogram.
 func ServePersonal(c *Config) error {
 	clients := c.BenchClients
 	if clients <= 0 {
 		clients = 32
 	}
-	dur := c.BenchDuration
-	if dur <= 0 {
-		dur = 5 * time.Second
-		if c.Quick {
-			dur = 2 * time.Second
-		}
-	}
-	window := c.BatchWindow
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
-
 	tg, err := c.tileGraph("servepersonal", c.kronCfg(), c.stdTileOpts())
 	if err != nil {
 		return err
 	}
-	vertices := tg.Meta.NumVertices
-	tg.Close()
+	defer tg.Close()
 	base := tile.BasePath(c.WorkDir, "servepersonal")
+	vertices := tg.Meta.NumVertices
 
-	reopen := func() (core.Options, error) {
-		g, err := tile.Open(base)
-		if err != nil {
-			return core.Options{}, err
+	// Every client draws Zipf-distributed roots and re-queries each one
+	// in a short burst: the repeat factor of a refresh.
+	const burst = 4
+	zipfRoots := func(ci int) func() request {
+		rng := rand.New(rand.NewSource(int64(c.Seed) + int64(ci)*7919))
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(vertices-1))
+		var root uint64
+		left := 0
+		return func() request {
+			if left == 0 {
+				root, left = zipf.Uint64(), burst
+			}
+			left--
+			return request{path: "/bfs?root=" + strconv.FormatUint(root, 10)}
 		}
-		defer g.Close()
-		return c.diskOpts(g), nil
-	}
-	opts, err := reopen()
-	if err != nil {
-		return err
-	}
-	maxRuns := clients
-	if maxRuns > 64 {
-		maxRuns = 64
 	}
 
-	baseline, err := personalPhase(base, opts, personalPhaseConfig{
-		mode: "one-root-per-slot", maxRuns: maxRuns,
-	}, clients, dur, vertices, c.Seed)
-	if err != nil {
-		return err
-	}
-	personal, err := personalPhase(base, opts, personalPhaseConfig{
-		mode: "fused+cache", maxRuns: maxRuns,
-		window: window, cacheBytes: 32 << 20, cacheTTL: 5 * time.Minute,
-	}, clients, dur, vertices, c.Seed)
-	if err != nil {
-		return err
-	}
-
-	rep := &personalBenchReport{Baseline: baseline, Personal: personal}
-	if baseline.QPS > 0 {
-		rep.SpeedupQPS = personal.QPS / baseline.QPS
-	}
-	if baseline.BytesPerQuery > 0 {
-		rep.BytesRatio = personal.BytesPerQuery / baseline.BytesPerQuery
-	}
-	printPersonalReport(c.Out, clients, rep)
-
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
+	rep := Report{Experiment: "serve-personal", Scale: c.Scale, Seed: c.Seed}
+	for _, fused := range []bool{false, true} {
+		opts := c.diskOpts(tg)
+		opts.MaxConcurrentRuns = min(clients, 64)
+		srv := server.New()
+		srv.ReadOnly = true // serving benchmark; no mutations in the loop
+		name := "one-root-per-slot"
+		if fused {
+			name = "fused+cache"
+			opts.BatchWindow = 2 * time.Millisecond
+			srv.QCacheBytes = 32 << 20
+			srv.QCacheTTL = 5 * time.Minute
+		}
+		p, moved, err := servePhase(srv, base, opts, name, clients, c.benchDuration(), zipfRoots)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
+		m := p.Measured
+		m["cache_hits"] = moved["gstore_qcache_hits_total"]
+		m["cache_misses"] = moved["gstore_qcache_misses_total"]
+		m["cache_joins"] = moved["gstore_qcache_joins_total"]
+		if m["queries"] > 0 {
+			m["cache_hit_rate"] = m["cache_hits"] / m["queries"]
 		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
+		m["coalesced_runs"] = moved[series("gstore_personal_coalesced_runs_total")]
+		m["queue_wait_p99_ms"] = bucketQuantile(moved, "gstore_run_queue_wait_seconds", 0.99) * 1e3
+		rep.Phases = append(rep.Phases, p)
 	}
+	compareLoops(rep.Phases[0], rep.Phases[1])
+	c.emit(rep)
 	return nil
-}
-
-func printPersonalReport(out io.Writer, clients int, rep *personalBenchReport) {
-	tb := report.New(fmt.Sprintf("personalized serving, %d clients (Zipf BFS roots with bursts)", clients),
-		"mode", "queries", "QPS", "p50 ms", "p99 ms", "KB/query", "hit rate", "coalesced", "qwait p99 ms", "errors")
-	for _, r := range []*personalResult{rep.Baseline, rep.Personal} {
-		if r == nil {
-			continue
-		}
-		tb.Row(r.Mode, r.Queries, fmt.Sprintf("%.1f", r.QPS),
-			fmt.Sprintf("%.2f", r.P50Ms), fmt.Sprintf("%.2f", r.P99Ms),
-			fmt.Sprintf("%.1f", r.BytesPerQuery/(1<<10)),
-			fmt.Sprintf("%.2f", r.CacheHitRate),
-			r.CoalescedRuns,
-			fmt.Sprintf("%.2f", r.QueueWaitP99Ms),
-			r.Errors)
-	}
-	tb.Fprint(out)
-	if rep.SpeedupQPS > 0 {
-		fmt.Fprintf(out, "speedup %.2fx QPS, %.2fx bytes/query\n",
-			rep.SpeedupQPS, rep.BytesRatio)
-	}
-}
-
-type personalPhaseConfig struct {
-	mode       string
-	maxRuns    int
-	window     time.Duration
-	cacheBytes int64
-	cacheTTL   time.Duration
-}
-
-// personalPhase serves the graph in-process under one configuration and
-// runs the closed loop against it.
-func personalPhase(basePath string, opts core.Options, pc personalPhaseConfig, clients int, dur time.Duration, vertices uint32, seed uint64) (*personalResult, error) {
-	opts.MaxConcurrentRuns = pc.maxRuns
-	opts.MaxQueuedRuns = 4 * clients // closed loop must queue, not bounce
-	opts.BatchWindow = pc.window
-	srv := server.New()
-	srv.ReadOnly = true // serving benchmark; no mutations in the loop
-	srv.QCacheBytes = pc.cacheBytes
-	srv.QCacheTTL = pc.cacheTTL
-	defer srv.Close()
-	if err := srv.AddGraph("bench", basePath, opts); err != nil {
-		return nil, err
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	return personalLoop(ts.URL, "bench", pc.mode, clients, dur, vertices, seed)
-}
-
-// personalLoop is the closed loop: every client draws Zipf-distributed
-// roots and GETs the personalized BFS fast path, re-querying its
-// current root in short bursts.
-func personalLoop(baseURL, graph, mode string, clients int, dur time.Duration, vertices uint32, seed uint64) (*personalResult, error) {
-	url := strings.TrimRight(baseURL, "/") + "/graphs/" + graph + "/bfs?root="
-	startBytes, err := scrapeCounter(baseURL, "gstore_storage_bytes_read_total", graph)
-	if err != nil {
-		return nil, fmt.Errorf("scraping %s/metrics before the loop: %w", baseURL, err)
-	}
-
-	const burst = 4 // queries per drawn root: the repeat factor of a refresh burst
-	var (
-		wg       sync.WaitGroup
-		errCount atomic.Int64
-		lats     = make([][]int64, clients)
-	)
-	begin := time.Now()
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(seed) + int64(ci)*7919))
-			zipf := rand.NewZipf(rng, 1.1, 1, uint64(vertices-1))
-			for time.Since(begin) < dur {
-				root := uint32(zipf.Uint64())
-				for q := 0; q < burst && time.Since(begin) < dur; q++ {
-					qb := time.Now()
-					resp, err := http.Get(url + strconv.FormatUint(uint64(root), 10))
-					if err != nil {
-						errCount.Add(1)
-						continue
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						errCount.Add(1)
-						continue
-					}
-					lats[ci] = append(lats[ci], int64(time.Since(qb)))
-				}
-			}
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-
-	endBytes, err := scrapeCounter(baseURL, "gstore_storage_bytes_read_total", graph)
-	if err != nil {
-		return nil, fmt.Errorf("scraping %s/metrics after the loop: %w", baseURL, err)
-	}
-	hits, _ := scrapeUnlabeled(baseURL, "gstore_qcache_hits_total")
-	misses, _ := scrapeUnlabeled(baseURL, "gstore_qcache_misses_total")
-	joins, _ := scrapeUnlabeled(baseURL, "gstore_qcache_joins_total")
-	coalesced, _ := scrapeCounter(baseURL, "gstore_personal_coalesced_runs_total", graph)
-	qwaitP99, _ := scrapeHistogramP99(baseURL, "gstore_run_queue_wait_seconds", graph)
-
-	var all []int64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sorted := sortedCopy(all)
-	n := int64(len(all))
-	res := &personalResult{
-		Mode:           mode,
-		Clients:        clients,
-		DurationSec:    elapsed.Seconds(),
-		Queries:        n,
-		Errors:         errCount.Load(),
-		QPS:            float64(n) / elapsed.Seconds(),
-		P50Ms:          float64(percentile(sorted, 0.50)) / 1e6,
-		P99Ms:          float64(percentile(sorted, 0.99)) / 1e6,
-		BytesRead:      endBytes - startBytes,
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheJoins:     joins,
-		CoalescedRuns:  coalesced,
-		QueueWaitP99Ms: qwaitP99 * 1e3,
-	}
-	if n > 0 {
-		res.BytesPerQuery = float64(res.BytesRead) / float64(n)
-		res.CacheHitRate = float64(hits) / float64(n)
-	}
-	return res, nil
-}
-
-// scrapeUnlabeled reads an unlabeled series (the server-wide qcache
-// counters) from /metrics; 0 when absent.
-func scrapeUnlabeled(baseURL, name string) (int64, error) {
-	resp, err := http.Get(strings.TrimRight(baseURL, "/") + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if !strings.HasPrefix(line, name+" ") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("parsing %q: %w", line, err)
-		}
-		return int64(v), nil
-	}
-	return 0, nil
-}
-
-// scrapeHistogramP99 estimates the 99th percentile of a Prometheus
-// histogram from its cumulative _bucket series (the upper bound of the
-// first bucket covering 99% of observations; the +Inf bucket reports
-// the largest finite bound, a floor on the true value).
-func scrapeHistogramP99(baseURL, name, graph string) (float64, error) {
-	resp, err := http.Get(strings.TrimRight(baseURL, "/") + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	type bucket struct {
-		le  float64
-		inf bool
-		cum int64
-	}
-	var buckets []bucket
-	prefix := name + "_bucket{"
-	for _, line := range strings.Split(string(raw), "\n") {
-		if !strings.HasPrefix(line, prefix) || !strings.Contains(line, fmt.Sprintf("graph=%q", graph)) {
-			continue
-		}
-		li := strings.Index(line, `le="`)
-		if li < 0 {
-			continue
-		}
-		rest := line[li+4:]
-		ri := strings.Index(rest, `"`)
-		fields := strings.Fields(line)
-		cum, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-		if err != nil {
-			continue
-		}
-		b := bucket{cum: cum}
-		if le := rest[:ri]; le == "+Inf" {
-			b.inf = true
-		} else if b.le, err = strconv.ParseFloat(le, 64); err != nil {
-			continue
-		}
-		buckets = append(buckets, b)
-	}
-	if len(buckets) == 0 {
-		return 0, nil
-	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].inf != buckets[j].inf {
-			return buckets[j].inf
-		}
-		return buckets[i].le < buckets[j].le
-	})
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, nil
-	}
-	want := int64(float64(total)*0.99 + 0.5)
-	for _, b := range buckets {
-		if b.cum >= want {
-			if b.inf {
-				break
-			}
-			return b.le, nil
-		}
-	}
-	// Everything past the largest finite bound: report that bound.
-	for i := len(buckets) - 1; i >= 0; i-- {
-		if !buckets[i].inf {
-			return buckets[i].le, nil
-		}
-	}
-	return 0, nil
 }

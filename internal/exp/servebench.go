@@ -1,13 +1,14 @@
 package exp
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,35 +16,12 @@ import (
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/core"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/server"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// serveResult is one closed-loop serving phase.
-type serveResult struct {
-	Mode          string  `json:"mode"`
-	Clients       int     `json:"clients"`
-	DurationSec   float64 `json:"duration_seconds"`
-	Queries       int64   `json:"queries"`
-	Errors        int64   `json:"errors"`
-	QPS           float64 `json:"qps"`
-	P50Ms         float64 `json:"p50_ms"`
-	P95Ms         float64 `json:"p95_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	BytesRead     int64   `json:"bytes_read"`
-	BytesPerQuery float64 `json:"bytes_per_query"`
-}
-
-// serveBenchReport is the BENCH_pr5.json artifact: serialized vs
-// shared-scan serving, the headline speedup, and the per-query I/O
-// ratio (< 1 means the shared sweep read less per query).
-type serveBenchReport struct {
-	Serialized *serveResult `json:"serialized,omitempty"`
-	Shared     *serveResult `json:"shared"`
-	SpeedupQPS float64      `json:"speedup_qps,omitempty"`
-	BytesRatio float64      `json:"bytes_ratio,omitempty"`
-}
+// benchGraph is the graph name the serving benchmarks query.
+const benchGraph = "bench"
 
 // ServeBench drives gstored's serving path with a closed loop of
 // concurrent clients mixing BFS and PageRank queries against one graph.
@@ -58,109 +36,94 @@ func ServeBench(c *Config) error {
 	if clients <= 0 {
 		clients = 8
 	}
-	dur := c.BenchDuration
-	if dur <= 0 {
-		dur = 5 * time.Second
-		if c.Quick {
-			dur = 2 * time.Second
+	// Half the clients rank, half traverse; every client uses its own BFS
+	// root so the union need set exercises selective fetch.
+	mix := func(ci int) func() request {
+		r := request{path: "/pagerank", body: []byte(`{"iterations":5,"top":1}`)}
+		if ci%2 == 1 {
+			r = request{path: "/bfs", body: []byte(fmt.Sprintf(`{"root":%d}`, ci))}
 		}
+		return func() request { return r }
 	}
-
-	rep := &serveBenchReport{}
+	rep := Report{Experiment: "serve", Scale: c.Scale, Seed: c.Seed}
 	if c.Target != "" {
-		res, err := serveLoop(c.Target, "bench", "remote", clients, dur)
+		p, _, err := closedLoop(c.Target, "remote", clients, c.benchDuration(), mix)
 		if err != nil {
 			return err
 		}
-		rep.Shared = res
-		printServeReport(c.Out, clients, rep)
-	} else {
-		tg, err := c.tileGraph("servebench", c.kronCfg(), c.stdTileOpts())
-		if err != nil {
-			return err
-		}
-		defer tg.Close()
-		base := tile.BasePath(c.WorkDir, "servebench")
+		rep.Phases = []Phase{p}
+		c.emit(rep)
+		return nil
+	}
+
+	tg, err := c.tileGraph("servebench", c.kronCfg(), c.stdTileOpts())
+	if err != nil {
+		return err
+	}
+	defer tg.Close()
+	base := tile.BasePath(c.WorkDir, "servebench")
+	for _, ph := range []struct {
+		name    string
+		maxRuns int
+	}{{"serialized", 1}, {"shared", clients}} {
 		opts := c.diskOpts(tg)
-
-		serialized, err := servePhase(base, opts, "serialized", 1, clients, dur)
+		opts.MaxConcurrentRuns = ph.maxRuns
+		p, _, err := servePhase(server.New(), base, opts, ph.name, clients, c.benchDuration(), mix)
 		if err != nil {
 			return err
 		}
-		shared, err := servePhase(base, opts, "shared", clients, clients, dur)
-		if err != nil {
-			return err
-		}
-		rep.Serialized, rep.Shared = serialized, shared
-		if serialized.QPS > 0 {
-			rep.SpeedupQPS = shared.QPS / serialized.QPS
-		}
-		if serialized.BytesPerQuery > 0 {
-			rep.BytesRatio = shared.BytesPerQuery / serialized.BytesPerQuery
-		}
-		printServeReport(c.Out, clients, rep)
+		rep.Phases = append(rep.Phases, p)
 	}
-
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
-	}
+	compareLoops(rep.Phases[0], rep.Phases[1])
+	c.emit(rep)
 	return nil
 }
 
-// printServeReport renders the phases as one aligned table plus the
-// headline ratios.
-func printServeReport(out io.Writer, clients int, rep *serveBenchReport) {
-	tb := report.New(fmt.Sprintf("closed-loop serving, %d clients (mixed BFS + PageRank)", clients),
-		"mode", "queries", "QPS", "p50 ms", "p95 ms", "p99 ms", "MB/query", "errors")
-	for _, r := range []*serveResult{rep.Serialized, rep.Shared} {
-		if r == nil {
-			continue
-		}
-		tb.Row(r.Mode, r.Queries, fmt.Sprintf("%.1f", r.QPS),
-			fmt.Sprintf("%.2f", r.P50Ms), fmt.Sprintf("%.2f", r.P95Ms),
-			fmt.Sprintf("%.2f", r.P99Ms),
-			fmt.Sprintf("%.3f", r.BytesPerQuery/(1<<20)), r.Errors)
+// compareLoops records the QPS speedup and the per-query bytes ratio of
+// closed-loop phase p over the baseline phase base (< 1 means p read
+// less per query).
+func compareLoops(base, p Phase) {
+	if q := base.Measured["qps"]; q > 0 {
+		p.Measured["speedup_qps"] = p.Measured["qps"] / q
 	}
-	tb.Fprint(out)
-	if rep.SpeedupQPS > 0 {
-		fmt.Fprintf(out, "speedup %.2fx QPS, %.2fx bytes/query\n",
-			rep.SpeedupQPS, rep.BytesRatio)
+	if b := base.Measured["bytes_per_query"]; b > 0 {
+		p.Measured["bytes_ratio"] = p.Measured["bytes_per_query"] / b
 	}
 }
 
-// servePhase serves the converted graph in-process with the given
-// concurrency limit and runs one closed loop against it.
-func servePhase(basePath string, opts core.Options, mode string, maxRuns, clients int, dur time.Duration) (*serveResult, error) {
-	opts.MaxConcurrentRuns = maxRuns
-	opts.MaxQueuedRuns = 4 * clients // closed loop must queue, not bounce
-	srv := server.New()
+// request is one HTTP call of a closed-loop client, relative to the
+// graph's URL; a request with a body is a JSON POST, one without a GET.
+type request struct {
+	path string
+	body []byte
+}
+
+// servePhase serves basePath as the bench graph on srv, in-process, and
+// runs one closed loop against it. The loop's clients must queue, not
+// bounce, so the admission queue holds four runs per client.
+func servePhase(srv *server.Server, basePath string, opts core.Options, name string, clients int, dur time.Duration, client func(ci int) func() request) (Phase, map[string]float64, error) {
 	defer srv.Close()
-	if err := srv.AddGraph("bench", basePath, opts); err != nil {
-		return nil, err
+	opts.MaxQueuedRuns = 4 * clients
+	if err := srv.AddGraph(benchGraph, basePath, opts); err != nil {
+		return Phase{}, nil, err
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	return serveLoop(ts.URL, "bench", mode, clients, dur)
+	return closedLoop(ts.URL, name, clients, dur, client)
 }
 
-// serveLoop runs the closed loop: each client alternates PageRank and
-// BFS requests back to back for the duration, then latencies merge into
-// percentiles and per-query bytes come from the storage counter at
-// /metrics.
-func serveLoop(baseURL, graph, mode string, clients int, dur time.Duration) (*serveResult, error) {
-	url := strings.TrimRight(baseURL, "/") + "/graphs/" + graph
-	startBytes, err := scrapeCounter(baseURL, "gstore_storage_bytes_read_total", graph)
+// closedLoop runs clients concurrent clients against the bench graph at
+// baseURL for dur. client(ci) builds client ci's request source; each
+// client fires its requests back to back. Latencies merge into
+// percentiles, and bytes read come from the storage counter at /metrics.
+// The loop also returns how much every /metrics series moved over it,
+// for the phase-specific series a caller reports.
+func closedLoop(baseURL, name string, clients int, dur time.Duration, client func(ci int) func() request) (Phase, map[string]float64, error) {
+	before, err := scrape(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("scraping %s/metrics before the loop: %w", baseURL, err)
+		return Phase{}, nil, fmt.Errorf("scraping %s/metrics before the loop: %w", baseURL, err)
 	}
-
+	url := strings.TrimRight(baseURL, "/") + "/graphs/" + benchGraph
 	var (
 		wg       sync.WaitGroup
 		errCount atomic.Int64
@@ -168,20 +131,20 @@ func serveLoop(baseURL, graph, mode string, clients int, dur time.Duration) (*se
 	)
 	begin := time.Now()
 	for ci := 0; ci < clients; ci++ {
+		next := client(ci)
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			// Half the clients rank, half traverse; every client uses its
-			// own BFS root so the union need set exercises selective fetch.
-			prBody := []byte(`{"iterations":5,"top":1}`)
-			bfsBody := []byte(fmt.Sprintf(`{"root":%d}`, ci))
 			for time.Since(begin) < dur {
-				op, body := "/pagerank", prBody
-				if ci%2 == 1 {
-					op, body = "/bfs", bfsBody
-				}
+				r := next()
 				qb := time.Now()
-				resp, err := http.Post(url+op, "application/json", bytes.NewReader(body))
+				var resp *http.Response
+				var err error
+				if r.body != nil {
+					resp, err = http.Post(url+r.path, "application/json", bytes.NewReader(r.body))
+				} else {
+					resp, err = http.Get(url + r.path)
+				}
 				if err != nil {
 					errCount.Add(1)
 					continue
@@ -199,9 +162,12 @@ func serveLoop(baseURL, graph, mode string, clients int, dur time.Duration) (*se
 	wg.Wait()
 	elapsed := time.Since(begin)
 
-	endBytes, err := scrapeCounter(baseURL, "gstore_storage_bytes_read_total", graph)
+	moved, err := scrape(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("scraping %s/metrics after the loop: %w", baseURL, err)
+		return Phase{}, nil, fmt.Errorf("scraping %s/metrics after the loop: %w", baseURL, err)
+	}
+	for k, v := range before {
+		moved[k] -= v
 	}
 
 	var all []int64
@@ -209,49 +175,86 @@ func serveLoop(baseURL, graph, mode string, clients int, dur time.Duration) (*se
 		all = append(all, l...)
 	}
 	sorted := sortedCopy(all)
-	n := int64(len(all))
-	res := &serveResult{
-		Mode:        mode,
-		Clients:     clients,
-		DurationSec: elapsed.Seconds(),
-		Queries:     n,
-		Errors:      errCount.Load(),
-		QPS:         float64(n) / elapsed.Seconds(),
-		P50Ms:       float64(percentile(sorted, 0.50)) / 1e6,
-		P95Ms:       float64(percentile(sorted, 0.95)) / 1e6,
-		P99Ms:       float64(percentile(sorted, 0.99)) / 1e6,
-		BytesRead:   endBytes - startBytes,
-	}
+	n := float64(len(all))
+	p := newPhase(name)
+	m := p.Measured
+	m["clients"] = float64(clients)
+	m["duration_seconds"] = elapsed.Seconds()
+	m["queries"] = n
+	m["errors"] = float64(errCount.Load())
+	m["qps"] = n / elapsed.Seconds()
+	m["p50_ms"] = float64(percentile(sorted, 0.50)) / 1e6
+	m["p95_ms"] = float64(percentile(sorted, 0.95)) / 1e6
+	m["p99_ms"] = float64(percentile(sorted, 0.99)) / 1e6
+	m["bytes_read"] = moved[series("gstore_storage_bytes_read_total")]
 	if n > 0 {
-		res.BytesPerQuery = float64(res.BytesRead) / float64(n)
+		m["bytes_per_query"] = m["bytes_read"] / n
 	}
-	return res, nil
+	return p, moved, nil
 }
 
-// scrapeCounter fetches /metrics and returns the value of the named
-// series for the given graph label (0 when the series is absent, as on
-// a server that has not run anything yet).
-func scrapeCounter(baseURL, name, graph string) (int64, error) {
+// series is the /metrics key of a per-graph series of the bench graph.
+func series(name string) string {
+	return fmt.Sprintf("%s{graph=%q}", name, benchGraph)
+}
+
+// scrape fetches /metrics once and parses every sample line into a
+// series → value map (series keyed with their labels, as exposed).
+func scrape(baseURL string) (map[string]float64, error) {
 	resp, err := http.Get(strings.TrimRight(baseURL, "/") + "/metrics")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	want := fmt.Sprintf(`%s{graph=%q}`, name, graph)
-	for _, line := range strings.Split(string(raw), "\n") {
-		if !strings.HasPrefix(line, want) {
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		v, err := strconv.ParseFloat(line[i+1:], 64)
 		if err != nil {
-			return 0, fmt.Errorf("parsing %q: %w", line, err)
+			return nil, fmt.Errorf("parsing %q: %w", line, err)
 		}
-		return int64(v), nil
+		out[line[:i]] = v
 	}
-	return 0, nil
+	return out, sc.Err()
+}
+
+// bucketQuantile estimates the q-quantile of the bench graph's histogram
+// name from its cumulative _bucket series in m: the upper bound of the
+// first bucket covering a q share of the observations. Past the largest
+// finite bound it reports that bound, a floor on the true value.
+func bucketQuantile(m map[string]float64, name string, q float64) float64 {
+	prefix := fmt.Sprintf("%s_bucket{graph=%q,le=\"", name, benchGraph)
+	type bucket struct{ le, cum float64 }
+	var buckets []bucket
+	for k, cum := range m {
+		le, ok := strings.CutPrefix(k, prefix)
+		if !ok {
+			continue
+		}
+		// ParseFloat reads "+Inf" as +Inf.
+		if b, err := strconv.ParseFloat(strings.TrimSuffix(le, `"}`), 64); err == nil {
+			buckets = append(buckets, bucket{b, cum})
+		}
+	}
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	if len(buckets) == 0 || buckets[len(buckets)-1].cum == 0 {
+		return 0
+	}
+	want := q * buckets[len(buckets)-1].cum
+	finite := 0.0
+	for _, b := range buckets {
+		if math.IsInf(b.le, 1) {
+			break
+		}
+		finite = b.le
+		if b.cum >= want {
+			return b.le
+		}
+	}
+	return finite
 }
